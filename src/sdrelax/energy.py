@@ -284,8 +284,10 @@ def check_bulk_growth(W, dim=2, sample_count=10000, radius=10.0, seed=0):
 
 def check_surface_axioms(Psi, dim=3, sample_count=10000, radius=10.0, seed=0,
                          rel_tol=1e-9):
-    """Certify bounds, one-homogeneity, and subadditivity of a surface density.
+    """Certify sign, bounds, one-homogeneity, and subadditivity of a surface density.
 
+    Any negative sample fails: the interface cell search skips patterns by
+    their perimeter, which bounds their cost only for nonnegative densities.
     The lower bound c1 |jump| <= Psi genuinely fails for normal-jump
     densities (a tangential jump costs nothing), so a lower-bound violation
     is reported as a warning rather than a failure.
@@ -296,6 +298,7 @@ def check_surface_axioms(Psi, dim=3, sample_count=10000, radius=10.0, seed=0,
     nu = _unit_vectors(rng, sample_count, dim)
     t = rng.uniform(0.1, 10.0, size=sample_count)
 
+    neg_worst, neg_wit = 0.0, {}
     lower_worst, lower_wit = 0.0, {}
     upper_worst, upper_wit = 0.0, {}
     hom_worst, hom_wit = 0.0, {}
@@ -303,6 +306,8 @@ def check_surface_axioms(Psi, dim=3, sample_count=10000, radius=10.0, seed=0,
     for i in range(sample_count):
         l, l2, n = lam[i], lam2[i], nu[i]
         v = Psi(l, n)
+        if -v > neg_worst:
+            neg_worst, neg_wit = -v, {"jump": l.tolist(), "normal": n.tolist()}
         mag = float(np.linalg.norm(l))
         if mag > 1e-9:
             short = Psi.lower_c1 * mag - v
@@ -320,6 +325,8 @@ def check_surface_axioms(Psi, dim=3, sample_count=10000, radius=10.0, seed=0,
             sub_worst, sub_wit = sub, {"jump": l.tolist(), "jump2": l2.tolist(),
                                        "normal": n.tolist()}
     checks = (
+        ConditionCheck("nonnegative", "pass" if neg_worst <= 0.0 else "fail",
+                       neg_worst, neg_wit),
         ConditionCheck("lower_bound", "pass" if lower_worst <= rel_tol else "warn",
                        lower_worst, lower_wit),
         ConditionCheck("upper_bound", "pass" if upper_worst <= rel_tol else "fail",

@@ -208,8 +208,9 @@ def _piece_geometry(dim, piece):
         return np.array([0.5 * (a + b)]), b - a
     pts, wts = geo.polygon_quadrature2(piece)
     area = float(wts.sum())
-    centroid = (wts @ pts) / area
-    return centroid, area
+    if area <= geo.MEASURE_EPS:
+        return np.zeros(2), area  # degenerate piece: callers skip it
+    return (wts @ pts) / area, area
 
 
 def _piece_quadrature(dim, piece):

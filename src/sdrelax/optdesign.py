@@ -13,7 +13,12 @@ estimated with the same competitor philosophy as the plain cell problems:
   ordering and coincidence of the planes matter (every plane section of
   the rotated unit cube has unit area), so the search is an exact
   enumeration over plane patterns plus a one-dimensional optimization of
-  the free intermediate value.
+  the free intermediate value. Two exact shortcuts keep it small without
+  changing its result: a pattern's cost is fixed by its sequence of
+  (phase jumps?, deformation jumps?) events over the occupied slots, so
+  each sequence is scored once; and with nonnegative densities a pattern
+  costs at least its number of phase planes, so a pattern whose perimeter
+  cannot beat the best value found is skipped with all its searches.
 """
 
 from dataclasses import dataclass
@@ -230,44 +235,73 @@ def _u_patterns(c, d):
     return out
 
 
-def _layer_values(start, end, pattern, middle):
-    """Per-layer values when the field jumps at the pattern's slots.
+def _events(chi_pat, u_pat):
+    """(phase jumps?, deformation jumps?) at each occupied slot, in slot order.
 
-    Layer i lies between slot i-1 and slot i; a jump at slot s separates
-    layers s and s+1. Two-jump patterns place the middle value between.
+    Plane positions only matter through order and coincidence, so patterns
+    with the same events have the same cost.
     """
-    layers = []
-    for layer in range(len(_SLOTS) + 1):
-        taken = sum(1 for s in pattern if s < layer)
-        if taken == len(pattern):
-            layers.append(end)
-        elif taken == 0:
-            layers.append(start)
-        else:
-            layers.append(middle)
-    return layers
+    return tuple((s in chi_pat, s in u_pat)
+                 for s in sorted(set(chi_pat) | set(u_pat)))
 
 
-def _pattern_cost(data, ds, chi_pat, u_pat, w):
-    """Energy of the layered competitor with the given jump patterns."""
-    other = 1 - data.a if data.a == data.b else None
-    chi_layers = _layer_values(data.b, data.a, chi_pat, other)
-    u_layers = _layer_values(data.d, data.c, u_pat, w)
+def _plane_term(ds, nu, chi_l, chi_r, u_l, u_r):
+    """Density term of one deformation plane as a function of w.
+
+    None in u_l or u_r stands for the free intermediate value w. The term
+    vanishes when the two sides coincide, as no plane is there.
+    """
+    if chi_l != chi_r:
+        def density(right, left, gap):
+            return ds.Psi2(chi_r, chi_l, right, left, nu)
+    else:
+        psi1 = ds.Psi1_1 if chi_l == 1 else ds.Psi1_0
+
+        def density(right, left, gap):
+            return psi1(gap, nu)
+
+    def term(w):
+        right = w if u_r is None else u_r
+        left = w if u_l is None else u_l
+        gap = right - left
+        # gap @ gap > 0 exactly when np.linalg.norm(gap) > 0.
+        return float(density(right, left, gap)) if gap @ gap > 0.0 else 0.0
+
+    return term
+
+
+def _compile_cost(data, ds, events):
+    """Energy of the layered competitor with these events, as a function of w.
+
+    The phase runs b, (1 - a,) a and the deformation d, (w,) c across the
+    events. Each event adds its unit perimeter, then its density term, in
+    slot order; terms free of w are evaluated once here.
+    """
+    n_u = sum(u_jumps for _, u_jumps in events)
+    phases = (data.b, data.a) if data.a != data.b else (data.b, 1 - data.a, data.a)
+    values = (data.d, data.c) if n_u < 2 else (data.d, None, data.c)
     nu = data.normal
-    cost = 0.0
-    for s in range(len(_SLOTS)):
-        chi_l, chi_r = chi_layers[s], chi_layers[s + 1]
-        u_l, u_r = u_layers[s], u_layers[s + 1]
-        chi_jumps = chi_l != chi_r
-        u_jumps = float(np.linalg.norm(np.asarray(u_r) - np.asarray(u_l))) > 0.0
-        if chi_jumps:
-            cost += 1.0  # perimeter: unit plane section
-            if u_jumps:
-                cost += float(ds.Psi2(chi_r, chi_l, np.asarray(u_r),
-                                      np.asarray(u_l), nu))
-        elif u_jumps:
-            psi1 = ds.Psi1_1 if chi_l == 1 else ds.Psi1_0
-            cost += float(psi1(np.asarray(u_r) - np.asarray(u_l), nu))
+    steps = []
+    i_chi = i_u = 0
+    for phase_jumps, u_jumps in events:
+        chi_l, u_l = phases[i_chi], values[i_u]
+        i_chi += phase_jumps
+        i_u += u_jumps
+        chi_r, u_r = phases[i_chi], values[i_u]
+        if phase_jumps:
+            steps.append(1.0)  # perimeter: unit plane section
+        if u_jumps:
+            term = _plane_term(ds, nu, chi_l, chi_r, u_l, u_r)
+            steps.append(term if u_r is None or u_l is None else term(None))
+
+    steps = tuple(steps)
+
+    def cost(w):
+        total = 0.0
+        for step in steps:
+            total += step if isinstance(step, float) else step(w)
+        return total
+
     return cost
 
 
@@ -280,22 +314,33 @@ def estimate_interface_cell(data, ds, budget=None):
     matter through coincidence, so patterns are enumerated exactly; the
     free intermediate deformation value of two-plane profiles is optimized
     by Nelder-Mead from deterministic starts.
+
+    Assumes Psi1_0, Psi1_1 and Psi2 are nonnegative (checked by the
+    "nonnegative" entries of check_surface_axioms and
+    check_interface_axioms): a pattern then costs at least its number of
+    phase planes, and patterns that cannot beat the best value by the
+    replacement margin are skipped.
     """
     ds.require_design()
     budget = budget or OptimizerBudget()
     best = None
+    scored = set()
     nm_options = {"maxiter": budget.max_iterations,
                   "xatol": budget.simplex_tolerance,
                   "fatol": budget.simplex_tolerance}
     for chi_pat in _chi_patterns(data.a, data.b):
         for u_pat in _u_patterns(data.c, data.d):
+            if best is not None and len(chi_pat) >= best[0] - 1e-12:
+                continue  # its perimeter alone cannot beat the best value
+            events = _events(chi_pat, u_pat)
+            if events in scored:
+                continue  # same cost as an earlier pattern, which wins ties
+            scored.add(events)
+            cost_of = _compile_cost(data, ds, events)
             if len(u_pat) < 2:
-                value = _pattern_cost(data, ds, chi_pat, u_pat, None)
+                value = cost_of(None)
                 w_best = None
             else:
-                def cost_of(wvec):
-                    return _pattern_cost(data, ds, chi_pat, u_pat, wvec)
-
                 value = np.inf
                 w_best = None
                 for w0 in (0.5 * (data.c + data.d), data.d.copy(), data.c.copy()):

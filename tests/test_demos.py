@@ -1,0 +1,30 @@
+"""Smoke tests that run the demo scripts end to end and read their output."""
+
+import os
+import runpy
+
+import pytest
+
+DEMOS = os.path.join(os.path.dirname(__file__), os.pardir, "demos")
+
+
+def test_optimal_design_demo_prints_the_limiting_cell_values(capsys):
+    runpy.run_path(os.path.join(DEMOS, "06_optimal_design.py"),
+                   run_name="__main__")
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index("interface cell problem across a unit plane") + 2
+    rows = {}
+    for line in lines[start:start + 4]:
+        name, numbers = line[:24].strip(), line[24:].split()
+        rows[name] = (float(numbers[0]), int(numbers[1]), int(numbers[2]))
+    expected = {
+        "same phase, same value": (0.0, 0, 0),
+        "phase flip only": (1.0, 1, 0),
+        "value jump only": (0.8, 0, 1),
+        "both jump": (1.8, 1, 1),
+    }
+    assert set(rows) == set(expected)
+    for name, (value, phase_planes, value_planes) in expected.items():
+        got = rows[name]
+        assert got[0] == pytest.approx(value, abs=1e-6), name
+        assert got[1:] == (phase_planes, value_planes), name

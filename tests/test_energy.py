@@ -13,7 +13,12 @@ from sdrelax import (
     interface_density,
     surface_density,
 )
-from sdrelax.energy import DENSITY_KINDS, BulkDensity, InterfacePairDensity
+from sdrelax.energy import (
+    DENSITY_KINDS,
+    BulkDensity,
+    InterfacePairDensity,
+    SurfaceDensity,
+)
 from sdrelax.errors import DensityError
 from sdrelax.fields import broken_ramp, deck_of_cards, staircase_sequence
 from sdrelax.core import identity_frame
@@ -127,6 +132,18 @@ def test_norm_kernel_passes_with_coercivity():
     report = check_surface_axioms(surface_density("jump_magnitude"), dim=3)
     assert report.passed
     assert _status(report, "lower_bound") == "pass"
+
+
+def test_surface_axioms_certify_the_sign():
+    for name in DENSITY_KINDS["surface"]:
+        report = check_surface_axioms(surface_density(name), dim=3,
+                                      sample_count=2000)
+        assert _status(report, "nonnegative") == "pass"
+    signed = SurfaceDensity("signed_demo", lambda lam, nu: float(lam @ nu))
+    report = check_surface_axioms(signed, dim=3, sample_count=2000)
+    assert not report.passed
+    assert _status(report, "nonnegative") == "fail"
+    assert report.check("nonnegative").worst > 0.0
 
 
 def test_interface_axioms_for_the_phase_gap_kernel():

@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from sdrelax.core import Frame, identity_frame
 from sdrelax.energy import DensitySet, bulk_density, surface_density, energy
 from sdrelax.errors import DomainError
 from sdrelax.fields import (
+    _piece_geometry,
     average_gradient,
     broken_ramp,
     broken_ramp_deformation,
@@ -38,6 +40,21 @@ DS_ABS = DensitySet.simple(bulk_density("zero"), PSI_ABS)
 def _ramp_oracle(n, x):
     # Slope-one ramp lifted by 1/n at each plane x = k/n.
     return x + np.floor(n * x) / n
+
+
+def test_zero_area_face_piece_is_measured_without_dividing():
+    # A collinear polygon piece has no area; callers skip pieces at or
+    # below the measure tolerance, so no centroid needs computing.
+    collinear = np.array([[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        centroid, measure = _piece_geometry(3, collinear)
+    assert measure == 0.0
+    assert np.all(np.isfinite(centroid))
+    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+    centroid, measure = _piece_geometry(3, square)
+    assert measure == pytest.approx(1.0)
+    assert centroid == pytest.approx([0.5, 0.5])
 
 
 def test_broken_ramp_pointwise_values():

@@ -1,8 +1,12 @@
 """Two-phase design energies, phase fields, and interface cell problems."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
+from scipy import optimize
 
+from sdrelax import optdesign
 from sdrelax.energy import (
     DensitySet,
     bulk_density,
@@ -23,7 +27,7 @@ from sdrelax.optdesign import (
     perimeter,
     relaxed_design_energy,
 )
-from sdrelax.cell import estimate_relaxed_bulk
+from sdrelax.cell import OptimizerBudget, estimate_relaxed_bulk
 
 PSI_ABS = surface_density("abs_normal_jump")
 DS_DESIGN = DensitySet.design(bulk_density("zero"), bulk_density("zero"),
@@ -240,3 +244,136 @@ def test_relaxed_design_energy_from_numerical_tables_in_one_dimension():
     assert value == pytest.approx(0.5 + 0.5 + 1.0, abs=1e-9)
     # Memoization returns identical numbers on repeat evaluation.
     assert relaxed_design_energy(chi_split, sd, tables) == value
+
+
+# Reference: the full enumeration of layered competitors, with no pruning,
+# no deduplication, and the layers rebuilt on every evaluation.
+
+def _reference_layers(start, end, pattern, middle):
+    layers = []
+    for layer in range(len(optdesign._SLOTS) + 1):
+        taken = sum(1 for s in pattern if s < layer)
+        if taken == len(pattern):
+            layers.append(end)
+        elif taken == 0:
+            layers.append(start)
+        else:
+            layers.append(middle)
+    return layers
+
+
+def _reference_cost(data, ds, chi_pat, u_pat, w):
+    other = 1 - data.a if data.a == data.b else None
+    chi_layers = _reference_layers(data.b, data.a, chi_pat, other)
+    u_layers = _reference_layers(data.d, data.c, u_pat, w)
+    nu = data.normal
+    cost = 0.0
+    for s in range(len(optdesign._SLOTS)):
+        chi_l, chi_r = chi_layers[s], chi_layers[s + 1]
+        u_l, u_r = np.asarray(u_layers[s]), np.asarray(u_layers[s + 1])
+        u_jumps = float(np.linalg.norm(u_r - u_l)) > 0.0
+        if chi_l != chi_r:
+            cost += 1.0
+            if u_jumps:
+                cost += float(ds.Psi2(chi_r, chi_l, u_r, u_l, nu))
+        elif u_jumps:
+            psi1 = ds.Psi1_1 if chi_l == 1 else ds.Psi1_0
+            cost += float(psi1(u_r - u_l, nu))
+    return cost
+
+
+def _reference_interface_cell(data, ds):
+    budget = OptimizerBudget()
+    idx = range(len(optdesign._SLOTS))
+    if data.a == data.b:
+        chi_patterns = [()] + list(combinations(idx, 2))
+    else:
+        chi_patterns = [(i,) for i in idx]
+    u_patterns = [()] if float(np.linalg.norm(data.c - data.d)) == 0.0 else []
+    u_patterns += [(i,) for i in idx] + list(combinations(idx, 2))
+    options = {"maxiter": budget.max_iterations,
+               "xatol": budget.simplex_tolerance,
+               "fatol": budget.simplex_tolerance}
+    best = None
+    for chi_pat in chi_patterns:
+        for u_pat in u_patterns:
+            w_best = None
+            if len(u_pat) < 2:
+                value = _reference_cost(data, ds, chi_pat, u_pat, None)
+            else:
+                value = np.inf
+                for w0 in (0.5 * (data.c + data.d), data.d.copy(),
+                           data.c.copy()):
+                    res = optimize.minimize(
+                        lambda w: _reference_cost(data, ds, chi_pat, u_pat, w),
+                        w0, method="Nelder-Mead", options=options)
+                    if res.fun < value - 1e-15:
+                        value = float(res.fun)
+                        w_best = tuple(float(x) for x in res.x)
+            if best is None or value < best[0] - 1e-12:
+                best = (float(value), chi_pat, u_pat, w_best)
+    return best
+
+
+DS_FREE_PAIRS = DensitySet.design(bulk_density("zero"), bulk_density("zero"),
+                                  PSI_ABS, PSI_ABS, interface_density("zero"))
+
+
+@pytest.mark.parametrize("ds", [DS_DESIGN, DS_FREE_PAIRS],
+                         ids=["phase_gap_normal_jump", "zero"])
+@pytest.mark.parametrize("gap", ["equal", "one_ulp", "generic"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_interface_cell_matches_the_full_enumeration(dim, gap, ds):
+    rng = np.random.default_rng(dim)
+    c = rng.uniform(-0.9, 0.9, size=dim)
+    d = {"equal": c.copy(), "one_ulp": c + 1e-16,
+         "generic": rng.uniform(-0.9, 0.9, size=dim)}[gap]
+    assert np.array_equal(c, d) == (gap == "equal")
+    nu = rng.normal(size=dim)
+    nu /= np.linalg.norm(nu)
+    for a in (0, 1):
+        for b in (0, 1):
+            data = DesignBoundaryData(a, b, c, d, nu)
+            value, chi_pat, u_pat, w_best = _reference_interface_cell(data, ds)
+            sol = estimate_interface_cell(data, ds)
+            assert sol.value == value
+            assert sol.meta["chi_slots"] == chi_pat
+            assert sol.meta["u_slots"] == u_pat
+            assert sol.meta["intermediate"] == w_best
+
+
+@pytest.fixture
+def minimize_calls(monkeypatch):
+    calls = []
+    real = optimize.minimize
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(optdesign.optimize, "minimize", counted)
+    return calls
+
+
+def test_interface_cell_skips_searches_that_cannot_win(minimize_calls):
+    nu = np.array([0.6, 0.8])
+    c = np.array([0.3, 0.4])
+    near = c + 4e-16
+    assert not np.array_equal(c, near)
+    # A single plane already costs the perimeter bound (plus at most an
+    # ulp-sized kernel), so no two-plane search runs.
+    for a, b, d in ((0, 1, c), (1, 1, c), (0, 1, near)):
+        minimize_calls.clear()
+        estimate_interface_cell(DesignBoundaryData(a, b, c, d, nu), DS_DESIGN)
+        assert len(minimize_calls) == 0, (a, b, d)
+    d = np.array([-0.5, 1.1])
+    # a != b: five distinct two-plane event sequences, three starts each.
+    minimize_calls.clear()
+    estimate_interface_cell(DesignBoundaryData(0, 1, c, d, nu), DS_DESIGN)
+    assert 0 < len(minimize_calls) <= 15
+    # a = b below the two-plane perimeter: one deformation pair sequence.
+    minimize_calls.clear()
+    sol = estimate_interface_cell(DesignBoundaryData(1, 1, c, d, nu),
+                                  DS_DESIGN)
+    assert sol.value < 2.0
+    assert 0 < len(minimize_calls) <= 3
