@@ -16,8 +16,16 @@ competitor families whose energies have closed forms:
 
 Estimates are deterministic: restarts come from closed-form seeds and a
 low-discrepancy lattice, never from a random source.
+
+Densities declaring a normal_form profile f (Psi(jump, normal) =
+f(jump . normal)) are priced without calling Psi: the frame grid and
+frame_cost of a square M read f off the diagonal of R^T M R, the grid
+building that diagonal in stages from closed forms, and the surface
+families apply f to lam . nu scaled by the split fractions or the tent's
+tilt. Any other density is evaluated term by term.
 """
 
+import math
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
@@ -97,10 +105,39 @@ def _lattice_angles(count, index):
     return tuple(np.pi * ((0.5 + (index + 1) * alphas) % 1.0))
 
 
+def _fold_angle(a):
+    """a reduced into [0, pi) and the parity of the multiple of pi removed.
+
+    Within 1e-12 below pi the angle wraps to 0 and counts one more shift;
+    a remainder a hair below 0, left when a / pi rounds up, counts as 0.
+    """
+    k = math.floor(a / math.pi)
+    r = a - k * math.pi
+    if r < 0.0:
+        r = 0.0
+    elif r > math.pi - 1e-12:
+        r, k = 0.0, k + 1
+    return r, k % 2 == 1
+
+
 def _canonical_angles(angles):
-    out = np.mod(np.asarray(angles, dtype=float), np.pi)
-    out[np.abs(out - np.pi) < 1e-12] = 0.0
-    return tuple(float(a) for a in out)
+    """Frame angles in [0, pi) pricing the same as the given ones.
+
+    Shifting an angle by pi negates some frame columns, which leaves every
+    density even under (jump, normal) -> (-jump, -normal) unchanged. In 3-D
+    only t3 carries that shift alone: (t1 + pi, t2, t3) prices like
+    (t1, -t2, -t3) and (t1, t2 + pi, t3) like (t1, t2, -t3), so t1 and then
+    t2 are folded with those sign flips before t3.
+    """
+    angles = [float(a) for a in angles]
+    if len(angles) == 3:
+        angles[0], odd = _fold_angle(angles[0])
+        if odd:
+            angles[1], angles[2] = -angles[1], -angles[2]
+        angles[1], odd = _fold_angle(angles[1])
+        if odd:
+            angles[2] = -angles[2]
+    return tuple(_fold_angle(a)[0] for a in angles)
 
 
 def _special_orthogonal(V):
@@ -189,12 +226,53 @@ def _grid_rotations(dim, resolution):
     return R
 
 
+def _rotated_diagonal(a, sym, b, c, s):
+    """Diagonal of G^T [[a, .], [., b]] G for the Givens rotation (c, s).
+
+    sym is the sum of the two off-diagonal entries; the arguments broadcast.
+    """
+    cc, cs, ss = c * c, c * s, s * s
+    return cc * a + cs * sym + ss * b, ss * a - cs * sym + cc * b
+
+
+def _normal_form_grid_costs(M, profile, resolution):
+    """Grid frame costs sum_i f(r_i . M r_i) of a square M, in grid order.
+
+    In 2-D the diagonal of R^T M R is one closed form over the angles. In
+    3-D, R = P G12(t3) with P = G01(t1) G02(t2): column 0 of R is p0, and
+    columns 1 and 2 rotate p1, p2 by t3, so the diagonal comes from the
+    resolution^2 quadratic forms p_i . M p_j and one closed form along t3.
+    """
+    th = np.arange(resolution) * np.pi / resolution
+    c, s = np.cos(th), np.sin(th)
+    if M.shape[1] == 2:
+        d0, d1 = _rotated_diagonal(M[0, 0], M[0, 1] + M[1, 0], M[1, 1], c, s)
+        return profile(d0) + profile(d1)
+    c1, s1 = c[:, None], s[:, None]
+    c2, s2 = (np.broadcast_to(v, (resolution, resolution)) for v in (c, s))
+    p0 = np.stack([c1 * c2, s1 * c2, s2], axis=-1)
+    p1 = np.stack([-s, c, np.zeros(resolution)], axis=-1)[:, None, :]
+    p2 = np.stack([-c1 * s2, -s1 * s2, c2], axis=-1)
+
+    def form(u, A, v):
+        return np.einsum("...j,jk,...k->...", u, A, v)
+
+    d0 = form(p0, M, p0)
+    d1, d2 = _rotated_diagonal(form(p1, M, p1)[..., None],
+                               form(p1, M + M.T, p2)[..., None],
+                               form(p2, M, p2)[..., None], c, s)
+    return (profile(d0)[..., None] + profile(d1) + profile(d2)).reshape(-1)
+
+
 def frame_grid_minimum(M, psi, resolution=None):
     """Cheapest grid frame for M and the value there, as (value, frame).
 
-    Grid angles run through multiples of pi/resolution per Givens angle.
-    For densities that only see the normal component of the jump the whole
-    grid is evaluated in one vectorized pass.
+    Grid angles run through multiples of pi/resolution per Givens angle,
+    the flat grid index running fastest in the last angle. For a square M
+    and a density declaring normal_form the costs come from closed forms
+    for the diagonal of R^T M R, built in stages without a rotation stack;
+    any other density is priced by psi on every cached grid rotation, which
+    in 3-D holds resolution^3 matrices.
     """
     M = as_matrix(M)
     dim = M.shape[1]
@@ -202,12 +280,11 @@ def frame_grid_minimum(M, psi, resolution=None):
         frame = identity_frame(1)
         return float(psi(M[:, 0], np.ones(1))), frame
     resolution = resolution or DEFAULT_GRID_RESOLUTION[dim]
-    R = _grid_rotations(dim, resolution)
     profile = getattr(psi, "normal_form", None)
     if profile is not None and M.shape[0] == dim:
-        diag = np.einsum("rji,jk,rki->ri", R, M, R)
-        costs = np.sum(profile(diag), axis=1)
+        costs = _normal_form_grid_costs(M, profile, resolution)
     else:
+        R = _grid_rotations(dim, resolution)
         costs = np.empty(len(R))
         for r in range(len(R)):
             amps = (M @ R[r]).T
@@ -398,13 +475,32 @@ def _tent_value(lam, nu, psi, t, beta, tangents):
     return 0.5 * scale * (float(psi(lam, mu_up)) + float(psi(lam, mu_dn)))
 
 
+def _tent_normal_value(q, lam_t, profile, t, beta):
+    """_tent_value for a density with normal_form f, from scalars alone.
+
+    q is lam . nu and lam_t holds lam . tau for each tangent, so that
+    lam . mu_up and lam . mu_dn are (q -/+ 2 h lam . tau) / scale.
+    """
+    h = 0.49 * math.tanh(t)
+    if len(lam_t) == 1:
+        slope = lam_t[0]
+    else:
+        slope = math.cos(beta) * lam_t[0] + math.sin(beta) * lam_t[1]
+    scale = math.sqrt(1.0 + 4.0 * h * h)
+    return 0.5 * scale * (float(profile((q - 2.0 * h * slope) / scale))
+                          + float(profile((q + 2.0 * h * slope) / scale)))
+
+
 def estimate_relaxed_surface(jump, normal, psi, budget=None):
     """Upper estimate of the surface cell problem on the rotated unit cube.
 
     Competitor families, tried in order with earlier families winning ties:
     the flat midplane (cost exactly psi(jump, normal)), stacks of up to four
     parallel planes splitting the jump into optimized fractions, and
-    two-plane tent profiles that trade extra area for tilted normals.
+    two-plane tent profiles that trade extra area for tilted normals. For a
+    density declaring normal_form f, split and tent costs are priced from
+    lam . nu directly: a split with fractions f_i costs sum_i f(f_i lam . nu)
+    and a tent applies f at lam . mu of its two tilted normals.
     """
     budget = budget or OptimizerBudget()
     lam = np.asarray(jump, dtype=float).reshape(-1)
@@ -420,13 +516,18 @@ def estimate_relaxed_surface(jump, normal, psi, budget=None):
                   "xatol": budget.simplex_tolerance,
                   "fatol": budget.simplex_tolerance}
 
+    profile = getattr(psi, "normal_form", None)
+    if profile is not None:
+        q = float(lam @ nu)
+
+        def split_cost(x):
+            return float(profile(_simplex_fractions(x) * q).sum())
+    else:
+        def split_cost(x):
+            return sum(float(psi(f * lam, nu)) for f in _simplex_fractions(x))
+
     for k in range(2, 5):
         offsets = _split_offsets(k)
-
-        def split_cost(x, _offs=offsets):
-            fr = _simplex_fractions(x)
-            return sum(float(psi(f * lam, nu)) for f in fr)
-
         starts = [np.ones(k)]
         alphas = _kronecker_alphas(k)
         starts.extend(1.0 + 0.75 * (((r + 1) * alphas) % 1.0)
@@ -449,9 +550,13 @@ def estimate_relaxed_surface(jump, normal, psi, budget=None):
 
     if dim >= 2:
         tangents = np.column_stack(geo.orthonormal_tangents(nu))
+        if profile is not None:
+            lam_t = [float(v) for v in lam @ tangents]
 
         def tent_cost(x):
             beta = x[1] if x.size > 1 else 0.0
+            if profile is not None:
+                return _tent_normal_value(q, lam_t, profile, x[0], beta)
             return _tent_value(lam, nu, psi, x[0], beta, tangents)
 
         tent_starts = [np.array([0.2, 0.0][:max(1, dim - 1)]),

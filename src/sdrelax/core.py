@@ -22,6 +22,8 @@ UNIT_TOL = 1e-12
 ORTHONORMAL_TOL = 1e-12
 RECONSTRUCTION_TOL = 1e-10
 
+_IDENTITY = {n: np.eye(n) for n in (1, 2, 3)}
+
 
 def as_matrix(entries, dim=None):
     """Validate a (d, n) matrix: finite entries, n in {1, 2, 3}."""
@@ -36,7 +38,7 @@ def as_matrix(entries, dim=None):
         raise DimensionMismatchError(f"ambient dimension {m.shape[1]} outside 1..3")
     if dim is not None and m.shape[1] != dim:
         raise DimensionMismatchError(f"expected {dim} columns, got {m.shape[1]}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -45,7 +47,7 @@ def as_vector(entries, dim=None):
     v = np.atleast_1d(np.asarray(entries, dtype=float)).reshape(-1)
     if dim is not None and v.size != dim:
         raise DimensionMismatchError(f"expected a vector of length {dim}, got {v.size}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
     return v
 
@@ -79,8 +81,11 @@ class Frame:
     dim: int
 
     def __post_init__(self):
-        angles = tuple(float(a) for a in np.atleast_1d(np.asarray(self.angles, dtype=float))) \
-            if np.size(self.angles) else ()
+        try:
+            angles = tuple(map(float, self.angles))
+        except (TypeError, ValueError):  # a bare number, nested sequence, text
+            angles = tuple(float(a) for a in np.atleast_1d(np.asarray(self.angles, dtype=float))) \
+                if np.size(self.angles) else ()
         object.__setattr__(self, "angles", angles)
         if self.dim not in ANGLE_COUNT:
             raise DimensionMismatchError(f"dimension {self.dim} outside 1..3")
@@ -95,24 +100,25 @@ def identity_frame(dim):
     return Frame((), dim) if dim == 1 else Frame((0.0,) * ANGLE_COUNT[dim], dim)
 
 
-def _givens(n, i, j, theta):
-    g = np.eye(n)
-    c, s = math.cos(theta), math.sin(theta)
-    g[i, i] = c
-    g[j, j] = c
-    g[i, j] = -s
-    g[j, i] = s
-    return g
-
-
 def frame_matrix(frame):
-    """Rotation matrix of a frame; columns are the jump directions."""
+    """Rotation matrix of a frame; columns are the jump directions.
+
+    In three dimensions R = G01(t1) G02(t2) G12(t3), the product of Givens
+    rotations in the (0, 1), (0, 2) and (1, 2) planes, written out in
+    closed form.
+    """
     if frame.dim == 1:
         return np.array([[1.0]])
     if frame.dim == 2:
-        return _givens(2, 0, 1, frame.angles[0])
+        c, s = math.cos(frame.angles[0]), math.sin(frame.angles[0])
+        return np.array([[c, -s], [s, c]])
     t1, t2, t3 = frame.angles
-    return _givens(3, 0, 1, t1) @ _givens(3, 0, 2, t2) @ _givens(3, 1, 2, t3)
+    c1, s1 = math.cos(t1), math.sin(t1)
+    c2, s2 = math.cos(t2), math.sin(t2)
+    c3, s3 = math.cos(t3), math.sin(t3)
+    return np.array([[c1 * c2, -s1 * c3 - c1 * s2 * s3, s1 * s3 - c1 * s2 * c3],
+                     [s1 * c2, c1 * c3 - s1 * s2 * s3, -c1 * s3 - s1 * s2 * c3],
+                     [s2, c2 * s3, c2 * c3]])
 
 
 def frame_angles_from_matrix(R):
@@ -172,22 +178,35 @@ class RankOneDecomposition:
         return self.amplitudes.T @ self.directions.T
 
 
+def _checked_amplitudes(M, frame):
+    """Validated M, the frame matrix R and M R, whose column i is M r_i.
+
+    Raises what decompose_by_frame promises: DimensionMismatchError for a
+    frame of the wrong dimension, NonUnitNormalError when the columns of R
+    are not orthonormal within ORTHONORMAL_TOL, ValueError when (M R) R^T
+    misses M by more than RECONSTRUCTION_TOL.
+    """
+    M = as_matrix(M)
+    if M.shape[1] != frame.dim:
+        raise DimensionMismatchError(f"matrix has {M.shape[1]} columns, frame dim {frame.dim}")
+    R = frame_matrix(frame)
+    if np.abs(R.T @ R - _IDENTITY[frame.dim]).max() > ORTHONORMAL_TOL:
+        raise NonUnitNormalError("frame columns are not orthonormal within 1e-12")
+    MR = M @ R
+    err = float(np.abs(MR @ R.T - M).max()) if M.size else 0.0
+    if err > RECONSTRUCTION_TOL:
+        raise ValueError(f"rank-one reconstruction off by {err:.3e}")
+    return M, R, MR
+
+
 def decompose_by_frame(M, frame):
     """Rank-one split of M over the columns of a frame.
 
     The i-th amplitude is M applied to the i-th column, which makes the
     reconstruction identity exact for any orthonormal frame.
     """
-    M = as_matrix(M)
-    if M.shape[1] != frame.dim:
-        raise DimensionMismatchError(f"matrix has {M.shape[1]} columns, frame dim {frame.dim}")
-    R = frame_matrix(frame)
-    amplitudes = (M @ R).T  # row i = M r_i
-    dec = RankOneDecomposition(amplitudes, R)
-    err = float(np.max(np.abs(dec.reconstruct() - M))) if M.size else 0.0
-    if err > RECONSTRUCTION_TOL:
-        raise ValueError(f"rank-one reconstruction off by {err:.3e}")
-    return dec
+    _, R, MR = _checked_amplitudes(M, frame)
+    return RankOneDecomposition(MR.T, R)
 
 
 def frame_cost(M, frame, psi):
@@ -195,10 +214,16 @@ def frame_cost(M, frame, psi):
 
     psi(jump, normal) is evaluated once per frame column with the rank-one
     amplitude as the jump; this is the n -> infinity limit of the staircase
-    family built on that frame.
+    family built on that frame. For a square M and a density declaring
+    normal_form f the cost is sum_i f(r_i . M r_i), the profile applied to
+    the diagonal of R^T M R, with no psi call. Checks and errors are those
+    of decompose_by_frame.
     """
-    dec = decompose_by_frame(M, frame)
-    return float(sum(psi(a, nu) for a, nu in dec.terms))
+    M, R, MR = _checked_amplitudes(M, frame)
+    profile = getattr(psi, "normal_form", None)
+    if profile is not None and M.shape[0] == frame.dim:
+        return float(profile(np.einsum("ji,ji->i", R, MR)).sum())
+    return float(sum(psi(a, nu) for a, nu in zip(MR.T, R.T)))
 
 
 def trace_of_decomposition(dec):

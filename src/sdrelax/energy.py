@@ -40,8 +40,10 @@ class SurfaceDensity:
     """Interfacial density Psi(jump, normal).
 
     normal_form, when present, is the scalar profile f with
-    Psi(jump, normal) = f(jump . normal); it unlocks vectorized frame
-    scans and exact facet quadrature split at the sign change.
+    Psi(jump, normal) = f(jump . normal), applied elementwise to arrays. It
+    is trusted, not checked against fn: frame_cost, the staged frame grid
+    and the surface cell search price with f alone, and facet quadrature
+    splits exactly at the sign change.
     """
 
     name: str

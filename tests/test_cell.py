@@ -1,5 +1,7 @@
 """Cell problems: frame search, refinement estimates, competitors."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,11 +15,15 @@ from sdrelax import (
     relaxed_surface_abs,
 )
 from sdrelax.cell import (
+    DEFAULT_GRID_RESOLUTION,
     CellSolution,
     OptimizerBudget,
+    _canonical_angles,
+    _grid_rotations,
     realize_bulk_competitor,
     realize_surface_competitor,
 )
+from sdrelax.core import Frame, frame_cost
 from sdrelax.energy import BulkDensity, DensitySet, bulk_density, surface_density
 from sdrelax.errors import NumericalFailureError
 
@@ -83,6 +89,65 @@ def test_frame_grid_in_three_dimensions():
     value, frame = frame_grid_minimum(M, PSI_ABS, resolution=24)
     assert len(frame.angles) == 3
     assert value >= abs(np.trace(M)) - 1e-10
+
+
+def _stack_grid_costs(M, psi, resolution):
+    """Grid costs from the full rotation stack, as the grid was first built."""
+    R = _grid_rotations(M.shape[1], resolution)
+    if psi.normal_form is not None:
+        return np.sum(psi.normal_form(np.einsum("rji,jk,rki->ri", R, M, R)), axis=1)
+    return np.array([sum(float(psi(a, nu)) for a, nu in zip((M @ Rr).T, Rr.T))
+                     for Rr in R])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("resolution", [6, 24, None])
+def test_staged_grid_matches_the_rotation_stack(dim, resolution):
+    rng = np.random.default_rng(67)
+    n = resolution or DEFAULT_GRID_RESOLUTION[dim]
+    for name in ("abs_normal_jump", "pos_normal_jump", "neg_normal_jump"):
+        psi = surface_density(name)
+        for _ in range(3):
+            M = rng.normal(size=(dim, dim))
+            value, frame = frame_grid_minimum(M, psi, resolution)
+            assert value == pytest.approx(np.min(_stack_grid_costs(M, psi, n)), abs=1e-12)
+            # Tied grid points may resolve to another frame; it must attain the value.
+            assert frame_cost(M, frame, psi) == pytest.approx(value, abs=1e-12)
+
+
+def test_normal_form_grid_builds_no_rotation_stack():
+    before = _grid_rotations.cache_info()
+    frame_grid_minimum(np.random.default_rng(68).normal(size=(3, 3)), PSI_ABS)
+    after = _grid_rotations.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def test_grid_without_normal_form_prices_every_rotation():
+    psi = surface_density("jump_magnitude")
+    rng = np.random.default_rng(69)
+    for dim in (2, 3):
+        M = rng.normal(size=(dim, dim))
+        costs = _stack_grid_costs(M, psi, 6)
+        value, frame = frame_grid_minimum(M, psi, resolution=6)
+        best = int(np.argmin(costs))
+        assert value == costs[best]
+        multi = np.unravel_index(best, (6,) * (1 if dim == 2 else 3))
+        assert frame.angles == tuple(k * np.pi / 6 for k in multi)
+
+
+def test_canonical_angles_price_like_the_raw_angles():
+    rng = np.random.default_rng(70)
+    for name in ("abs_normal_jump", "pos_normal_jump", "neg_normal_jump",
+                 "jump_magnitude"):
+        psi = surface_density(name)
+        for dim in (2, 3):
+            for _ in range(40):
+                M = rng.normal(size=(dim, dim))
+                raw = tuple(rng.uniform(-10.0, 10.0, size=1 if dim == 2 else 3))
+                canonical = _canonical_angles(raw)
+                assert all(0.0 <= a < np.pi for a in canonical)
+                assert frame_cost(M, Frame(canonical, dim), psi) == pytest.approx(
+                    frame_cost(M, Frame(raw, dim), psi), abs=1e-12)
 
 
 def test_more_optimizer_restarts_never_hurt():
@@ -157,6 +222,22 @@ def test_surface_estimate_matches_normal_jump():
             assert sol.value == pytest.approx(relaxed_surface_abs(lam, nu),
                                               abs=1e-9)
             assert sol.kind == "surface"
+
+
+def test_surface_estimate_normal_form_route_matches_psi_route():
+    rng = np.random.default_rng(71)
+    for name in ("abs_normal_jump", "pos_normal_jump", "neg_normal_jump"):
+        psi = surface_density(name)
+        plain = dataclasses.replace(psi, normal_form=None)
+        for dim in (2, 3):
+            for _ in range(4):
+                lam = rng.normal(size=dim)
+                nu = rng.normal(size=dim)
+                nu /= np.linalg.norm(nu)
+                fast = estimate_relaxed_surface(lam, nu, psi)
+                slow = estimate_relaxed_surface(lam, nu, plain)
+                assert fast.value == pytest.approx(slow.value, abs=1e-12)
+                assert fast.meta == slow.meta
 
 
 def test_splitting_the_jump_never_helps_the_abs_kernel():

@@ -21,6 +21,7 @@ from sdrelax import (
     surface_density,
     trace_of_decomposition,
 )
+from sdrelax.energy import DENSITY_KINDS
 from sdrelax.errors import DimensionMismatchError, NonUnitNormalError
 
 PSI_ABS = surface_density("abs_normal_jump")
@@ -63,6 +64,24 @@ def test_frame_matrix_closed_forms():
     assert np.allclose(frame_matrix(Frame((0.0,), 2)), np.eye(2))
     quarter = frame_matrix(Frame((np.pi / 2,), 2))
     assert np.allclose(quarter, [[0.0, -1.0], [1.0, 0.0]], atol=1e-15)
+
+
+def _givens(n, i, j, theta):
+    g = np.eye(n)
+    c, s = np.cos(theta), np.sin(theta)
+    g[i, i] = g[j, j] = c
+    g[i, j] = -s
+    g[j, i] = s
+    return g
+
+
+def test_frame_matrix_is_the_givens_product():
+    rng = np.random.default_rng(15)
+    for _ in range(50):
+        t1, t2, t3 = rng.uniform(-7.0, 7.0, size=3)
+        product = _givens(3, 0, 1, t1) @ _givens(3, 0, 2, t2) @ _givens(3, 1, 2, t3)
+        assert np.max(np.abs(frame_matrix(Frame((t1, t2, t3), 3)) - product)) <= 1e-15
+        assert np.max(np.abs(frame_matrix(Frame((t1,), 2)) - _givens(2, 0, 1, t1))) <= 1e-15
 
 
 def test_frame_matrix_is_special_orthogonal():
@@ -134,6 +153,42 @@ def test_frame_cost_dominates_trace_for_all_frames():
             M = rng.normal(size=(dim, dim))
             cost = frame_cost(M, _random_frame(rng, dim), PSI_ABS)
             assert cost >= abs(np.trace(M)) - 1e-10
+
+
+def test_frame_cost_matches_the_decomposition_route():
+    # Normal-form densities price square M from the diagonal of R^T M R;
+    # every density must agree with psi summed over the rank-one terms, and
+    # where psi cannot take the terms (a normal jump of a non-square M) the
+    # error must be the same.
+    rng = np.random.default_rng(16)
+    for name in DENSITY_KINDS["surface"]:
+        psi = surface_density(name)
+        for dim in (1, 2, 3):
+            for rows in sorted({dim, 1, 3}):
+                for _ in range(10):
+                    M = rng.normal(size=(rows, dim))
+                    frame = _random_frame(rng, dim)
+                    terms = decompose_by_frame(M, frame).terms
+                    try:
+                        expected = sum(psi(a, nu) for a, nu in terms)
+                    except ValueError:
+                        with pytest.raises(ValueError):
+                            frame_cost(M, frame, psi)
+                        continue
+                    assert frame_cost(M, frame, psi) == pytest.approx(expected, abs=1e-12)
+
+
+def test_frame_cost_raises_what_decompose_raises():
+    frame = Frame((0.3, 1.1, -0.4), 3)
+    huge = 1e9 * np.random.default_rng(17).normal(size=(3, 3))
+    for psi in (PSI_ABS, surface_density("jump_magnitude")):
+        for M, error in ((huge, ValueError),
+                         (np.eye(2), DimensionMismatchError),
+                         ([[np.nan, 0.0, 0.0]], ValueError)):
+            with pytest.raises(error):
+                decompose_by_frame(M, frame)
+            with pytest.raises(error):
+                frame_cost(M, frame, psi)
 
 
 def test_exact_relaxed_bulk_formulas():

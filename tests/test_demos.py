@@ -3,6 +3,7 @@
 import os
 import runpy
 
+import numpy as np
 import pytest
 
 DEMOS = os.path.join(os.path.dirname(__file__), os.pardir, "demos")
@@ -28,3 +29,18 @@ def test_optimal_design_demo_prints_the_limiting_cell_values(capsys):
         got = rows[name]
         assert got[0] == pytest.approx(value, abs=1e-6), name
         assert got[1:] == (phase_planes, value_planes), name
+
+
+def test_cell_formulas_demo_closes_every_gap(capsys):
+    runpy.run_path(os.path.join(DEMOS, "03_cell_formulas.py"),
+                   run_name="__main__")
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index("bulk cell problem, ten random 2x2 pairs") + 2
+    rows = [line.split() for line in lines[start:start + 10]]
+    assert [int(row[0]) for row in rows] == list(range(10))
+    for row in rows:
+        grid_gap, route_gap = float(row[4]), float(row[5])
+        assert abs(grid_gap) <= 1e-9 and abs(route_gap) <= 1e-9, row
+    traceless = next(line for line in lines if "A = diag(1, -1)" in line)
+    angle = float(traceless.split("frame angle ")[1].split()[0])
+    assert angle == pytest.approx(np.pi / 4, abs=1e-6)
