@@ -10,7 +10,7 @@ perimeter term.
 """
 
 from .cell import (CellSolution, OptimizerBudget, estimate_relaxed_bulk,
-                   estimate_relaxed_surface, frame_grid_minimum, frame_oracle,
+                   estimate_relaxed_surface, frame_grid_minimum,
                    realize_bulk_competitor, realize_surface_competitor)
 from .core import (Frame, RankOneDecomposition, as_matrix, as_unit_vector,
                    as_vector, decompose_by_frame, disarrangement_tensor,

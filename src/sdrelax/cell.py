@@ -298,18 +298,6 @@ def frame_grid_minimum(M, psi, resolution=None):
     return float(costs[best]), Frame(_canonical_angles(angles), dim)
 
 
-def frame_oracle(M, psi, resolution=None):
-    """Dense grid search over frames; an independent hold on the estimate.
-
-    Returns the cheapest frame cost of M over all grid frames (a real
-    number; frame_grid_minimum also reports the minimizing frame). In one
-    dimension there is nothing to search and the single frame's cost comes
-    back directly.
-    """
-    value, _ = frame_grid_minimum(M, psi, resolution)
-    return value
-
-
 def realize_bulk_competitor(A, B, frame, n, densities=None, domain=None):
     """Clamped staircase at refinement n together with its realized energy.
 

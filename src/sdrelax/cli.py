@@ -3,8 +3,10 @@
 Each run loads one config file naming a command, its parameters, a seed,
 and an output path, then writes a CSV table. Identical config and seed
 give byte-identical data rows; the only varying line is the timestamped
-comment in the header. Sweeps fan out over worker threads (--jobs) with
-results reassembled in input order, so parallelism never changes output.
+comment in the header. --jobs runs sweeps on worker threads with results
+reassembled in input order, so it never changes output. The searches hold
+the GIL, so more jobs do not make a sweep faster (a 40-pair verify-expl
+measured slower with 2 jobs than with 1).
 
 Exit codes: 0 success, 2 config error, 3 numerical failure (a verification
 report found a violation), 4 output I/O error. Failures print a one-line

@@ -40,10 +40,9 @@ class SurfaceDensity:
     """Interfacial density Psi(jump, normal).
 
     normal_form, when present, is the scalar profile f with
-    Psi(jump, normal) = f(jump . normal), applied elementwise to arrays. It
-    is trusted, not checked against fn: frame_cost, the staged frame grid
-    and the surface cell search price with f alone, and facet quadrature
-    splits exactly at the sign change.
+    Psi(jump, normal) = f(jump . normal), applied elementwise to arrays.
+    check_surface_axioms certifies it against fn: frame_cost, the staged
+    frame grid and the surface cell search price with f alone.
     """
 
     name: str
@@ -286,10 +285,13 @@ def check_bulk_growth(W, dim=2, sample_count=10000, radius=10.0, seed=0):
 
 def check_surface_axioms(Psi, dim=3, sample_count=10000, radius=10.0, seed=0,
                          rel_tol=1e-9):
-    """Certify sign, bounds, one-homogeneity, and subadditivity of a surface density.
+    """Certify sign, bounds, one-homogeneity, subadditivity and the normal form.
 
     Any negative sample fails: the interface cell search skips patterns by
     their perimeter, which bounds their cost only for nonnegative densities.
+    A declared normal_form f fails when |Psi(jump, normal) - f(jump . normal)|
+    exceeds rel_tol * max(1, |Psi(jump, normal)|) on any sample; a density
+    without one passes that check.
     The lower bound c1 |jump| <= Psi genuinely fails for normal-jump
     densities (a tangential jump costs nothing), so a lower-bound violation
     is reported as a warning rather than a failure.
@@ -305,11 +307,16 @@ def check_surface_axioms(Psi, dim=3, sample_count=10000, radius=10.0, seed=0,
     upper_worst, upper_wit = 0.0, {}
     hom_worst, hom_wit = 0.0, {}
     sub_worst, sub_wit = 0.0, {}
+    form_worst, form_wit = 0.0, {}
     for i in range(sample_count):
         l, l2, n = lam[i], lam2[i], nu[i]
         v = Psi(l, n)
         if -v > neg_worst:
             neg_worst, neg_wit = -v, {"jump": l.tolist(), "normal": n.tolist()}
+        if Psi.normal_form is not None:
+            form = abs(v - float(Psi.normal_form(float(l @ n)))) / max(1.0, abs(v))
+            if form > form_worst:
+                form_worst, form_wit = form, {"jump": l.tolist(), "normal": n.tolist()}
         mag = float(np.linalg.norm(l))
         if mag > 1e-9:
             short = Psi.lower_c1 * mag - v
@@ -337,6 +344,8 @@ def check_surface_axioms(Psi, dim=3, sample_count=10000, radius=10.0, seed=0,
                        hom_worst, hom_wit),
         ConditionCheck("subadditivity", "pass" if sub_worst <= rel_tol else "fail",
                        sub_worst, sub_wit),
+        ConditionCheck("normal_form", "pass" if form_worst <= rel_tol else "fail",
+                       form_worst, form_wit),
     )
     return DensityReport(Psi.name, sample_count, radius, checks)
 

@@ -22,6 +22,7 @@ piece exactly.
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import product
 
 import numpy as np
 
@@ -199,21 +200,8 @@ def _face_pieces(dim, free_bounds, cut_lines):
     return polys
 
 
-def _piece_geometry(dim, piece):
-    """(centroid_free, measure) of one face piece."""
-    if dim == 1:
-        return np.zeros(0), 1.0
-    if dim == 2:
-        a, b = piece
-        return np.array([0.5 * (a + b)]), b - a
-    pts, wts = geo.polygon_quadrature2(piece)
-    area = float(wts.sum())
-    if area <= geo.MEASURE_EPS:
-        return np.zeros(2), area  # degenerate piece: callers skip it
-    return (wts @ pts) / area, area
-
-
 def _piece_quadrature(dim, piece):
+    """Degree-2 nodes (free coordinates) and weights of one face piece."""
     if dim == 1:
         return np.zeros((1, 0)), np.ones(1)
     if dim == 2:
@@ -240,56 +228,60 @@ def _facet_from_face(dim, axis, fixed, free_bounds, cut_lines, normal_phys,
 
     jump_centroid maps reference points (m, dim) to jumps (m, codim);
     jump_grad_free is the (codim, dim-1) in-face jump gradient, constant
-    over the face. Pieces are additionally split along the zero line of the
-    normal jump so one-sign densities integrate exactly. keep_all retains
-    faces whose jump vanishes (their quadrature geometry is still wanted
-    when another field jumps across the same face).
+    over the face. Each piece gets one quadrature, whose weights give its
+    measure and centroid; jump_centroid is evaluated once, at that
+    centroid, and every node jump follows from it and jump_grad_free. A
+    piece on which the normal jump changes sign is split along its zero
+    line, so one-sign densities integrate exactly; only the two halves get
+    quadratures of their own. keep_all retains faces whose jump vanishes
+    (their quadrature geometry is still wanted when another field jumps
+    across the same face).
     """
-    pieces = _face_pieces(dim, free_bounds, cut_lines)
     s_grad = jump_grad_free.T @ normal_phys if dim > 1 else np.zeros(0)
+    may_split = dim > 1 and float(np.linalg.norm(s_grad)) > 1e-13
 
-    all_pts, all_wts, all_jumps = [], [], []
+    all_nodes, all_wts, all_jumps = [], [], []
     total_area = 0.0
-    for piece in pieces:
-        w_c, measure = _piece_geometry(dim, piece)
+    for piece in _face_pieces(dim, free_bounds, cut_lines):
+        nodes, wts = _piece_quadrature(dim, piece)
+        measure = float(wts.sum())
         if measure <= geo.MEASURE_EPS:
             continue
+        w_c = (wts @ nodes) / measure
         j_c = jump_centroid(_lift(w_c.reshape(1, -1), axis, fixed, dim))[0]
-        sub = [piece]
-        if dim > 1 and float(np.linalg.norm(s_grad)) > 1e-13:
-            s_c = float(normal_phys @ j_c)
-            rhs = float(s_grad @ w_c) - s_c
+        parts = [(nodes, wts)]
+        if may_split:
+            # The normal jump normal . j_c + s_grad . (w - w_c) vanishes on
+            # the line s_grad . w = rhs.
+            rhs = float(s_grad @ w_c) - float(normal_phys @ j_c)
             if dim == 2:
                 a, b = piece
                 root = rhs / s_grad[0]
                 if a + 1e-13 < root < b - 1e-13:
-                    sub = [(a, root), (root, b)]
+                    parts = [_piece_quadrature(2, (a, root)),
+                             _piece_quadrature(2, (root, b))]
             else:
                 vals = piece @ s_grad - rhs
                 if vals.min() < -1e-13 < 1e-13 < vals.max():
-                    lo_p, hi_p = geo.split_polygon_by_line(piece, s_grad, rhs)
-                    sub = [p for p in (lo_p, hi_p)
-                           if len(p) >= 3 and geo.polygon_area2(p) > geo.MEASURE_EPS]
-        for part in sub:
-            w_part, part_measure = _piece_geometry(dim, part)
-            if part_measure <= geo.MEASURE_EPS:
+                    parts = [_piece_quadrature(3, half) for half in
+                             geo.split_polygon_by_line(piece, s_grad, rhs)]
+        for p_nodes, p_wts in parts:
+            p_measure = float(p_wts.sum())
+            if p_measure <= geo.MEASURE_EPS:
                 continue
-            nodes, wts = _piece_quadrature(dim, part)
-            j_part = jump_centroid(_lift(w_part.reshape(1, -1), axis, fixed, dim))[0]
-            jumps = j_part[None, :] + (nodes - w_part) @ jump_grad_free.T
-            pts_ref = _lift(nodes, axis, fixed, dim)
-            pts = pts_ref if rotation is None else pts_ref @ rotation.T
-            all_pts.append(pts)
-            all_wts.append(wts)
-            all_jumps.append(jumps)
-            total_area += part_measure
+            all_nodes.append(p_nodes)
+            all_wts.append(p_wts)
+            all_jumps.append(j_c[None, :] + (p_nodes - w_c) @ jump_grad_free.T)
+            total_area += p_measure
 
-    if not all_pts:
+    if not all_nodes:
         return None
-    pts = np.vstack(all_pts)
+    pts = _lift(np.vstack(all_nodes), axis, fixed, dim)
+    if rotation is not None:
+        pts = pts @ rotation.T
     wts = np.concatenate(all_wts)
     jumps = np.vstack(all_jumps)
-    spread = float(np.max(np.abs(jumps - jumps[0]))) if len(jumps) else 0.0
+    spread = float(np.max(np.abs(jumps - jumps[0])))
     const = _readonly(jumps[0]) if spread <= 1e-13 else None
     if (not keep_all and const is not None
             and float(np.max(np.abs(const))) <= JUMP_TOL):
@@ -298,6 +290,36 @@ def _facet_from_face(dim, axis, fixed, free_bounds, cut_lines, normal_phys,
                  quad_points=_readonly(pts), quad_weights=_readonly(wts),
                  quad_jumps=_readonly(jumps), constant_jump=const,
                  plane_axis=axis, plane_offset=plane_offset)
+
+
+def grid_face_facet(u, face, keep_all=False, quick_reject=False):
+    """Facet of a grid field across one interior mesh face, or None.
+
+    face is one entry of u.mesh.interior_faces(); the jump is the affine
+    difference of the two cells' maps. With quick_reject the face is
+    dropped before any quadrature when that jump is within JUMP_TOL at every
+    face corner (and at the free-coordinate origin), which bounds an affine
+    jump over the face.
+    """
+    axis, fixed, flo, fhi, free_axes, bounds = face
+    R = u.mesh.rotation
+    dA = u.gradients[fhi] - u.gradients[flo]
+    dA_ref = dA if R is None else dA @ R
+    # Jump in reference coordinates: dA_ref y + (offset difference).
+    grad_free = dA_ref[:, free_axes]
+    const_part = dA_ref[:, axis] * fixed + (u.offsets[fhi] - u.offsets[flo])
+    if quick_reject:
+        corners = np.array(list(product(*bounds)), dtype=float)
+        corner_vals = const_part + corners @ grad_free.T
+        if max(float(np.max(np.abs(const_part))),
+               float(np.max(np.abs(corner_vals)))) <= JUMP_TOL:
+            return None
+
+    def jump_centroid(pts_ref):
+        return const_part[None, :] + pts_ref[:, free_axes] @ grad_free.T
+
+    return _facet_from_face(u.dim, axis, fixed, bounds, [], u.mesh.face_normal(axis),
+                            jump_centroid, grad_free, R, fixed, keep_all=keep_all)
 
 
 # ---------------------------------------------------------------------------
@@ -367,33 +389,9 @@ class GridField:
 
     @cached_property
     def _facets(self):
-        out = []
-        R = self.mesh.rotation
-        dim = self.dim
-        for axis, fixed, flo, fhi, free_axes, bounds in self.mesh.interior_faces():
-            dA = self.gradients[fhi] - self.gradients[flo]
-            do = self.offsets[fhi] - self.offsets[flo]
-            dA_ref = dA if R is None else dA @ R
-            # Jump in reference coordinates: dA_ref y + do.
-            grad_free = dA_ref[:, free_axes]
-            const_part = dA_ref[:, axis] * fixed + do
-            # Quick reject: affine jump maximal at face corners.
-            corner_vals = [const_part]
-            for combo in np.ndindex(*(2,) * len(free_axes)):
-                w = np.array([bounds[i][c] for i, c in enumerate(combo)])
-                corner_vals.append(const_part + grad_free @ w)
-            if max(float(np.max(np.abs(v))) for v in corner_vals) <= JUMP_TOL:
-                continue
-            normal = self.mesh.face_normal(axis)
-
-            def jump_centroid(pts_ref, _c=const_part, _g=grad_free, _fa=free_axes):
-                return _c[None, :] + pts_ref[:, _fa] @ _g.T
-
-            f = _facet_from_face(dim, axis, fixed, bounds, [], normal,
-                                 jump_centroid, grad_free, R, fixed)
-            if f is not None:
-                out.append(f)
-        return tuple(out)
+        facets = (grid_face_facet(self, face, quick_reject=True)
+                  for face in self.mesh.interior_faces())
+        return tuple(f for f in facets if f is not None)
 
     def facets(self):
         return self._facets

@@ -32,7 +32,7 @@ from .cell import CellSolution, OptimizerBudget, estimate_relaxed_bulk
 from .core import as_unit_vector
 from .energy import DensitySet
 from .errors import DimensionMismatchError, MeshMismatchError
-from .fields import GridField, GridMesh, _facet_from_face
+from .fields import GridField, GridMesh, grid_face_facet
 
 _SLOTS = (-0.25, 0.0, 0.25)
 
@@ -137,24 +137,6 @@ def _require_same_mesh(mesh_a, mesh_b):
         raise MeshMismatchError("phase field and deformation must share a mesh")
 
 
-def _grid_face_facet(u, axis, fixed, flo, fhi, free_axes, bounds, keep_all):
-    """Facet of a grid field across one mesh face, or None when continuous."""
-    R = u.mesh.rotation
-    dA = u.gradients[fhi] - u.gradients[flo]
-    do = u.offsets[fhi] - u.offsets[flo]
-    dA_ref = dA if R is None else dA @ R
-    grad_free = dA_ref[:, free_axes]
-    const_part = dA_ref[:, axis] * fixed + do
-    normal = u.mesh.face_normal(axis)
-
-    def jump_centroid(pts_ref, _c=const_part, _g=grad_free, _fa=free_axes):
-        return _c[None, :] + pts_ref[:, _fa] @ _g.T
-
-    return _facet_from_face(u.dim, axis, fixed, bounds, [], normal,
-                            jump_centroid, grad_free, R, fixed,
-                            keep_all=keep_all)
-
-
 def _traces_at(u, flo, fhi, points):
     """One-sided values of a grid field at physical facet points."""
     lower = points @ u.gradients[flo].T + u.offsets[flo]
@@ -179,12 +161,12 @@ def design_energy(chi, u, ds):
         if not W.is_zero:
             total += vol * float(W(u.gradients[i]))
 
-    for axis, fixed, flo, fhi, free_axes, bounds in u.mesh.interior_faces():
+    for face in u.mesh.interior_faces():
+        _, _, flo, fhi, _, bounds = face
         phase_lo = int(chi.cell_value[flo])
         phase_hi = int(chi.cell_value[fhi])
         phase_jumps = phase_lo != phase_hi
-        facet = _grid_face_facet(u, axis, fixed, flo, fhi, free_axes, bounds,
-                                 keep_all=False)
+        facet = grid_face_facet(u, face)
         if not phase_jumps:
             if facet is not None:
                 psi1 = ds.Psi1_1 if phase_lo == 1 else ds.Psi1_0
@@ -416,12 +398,11 @@ def relaxed_design_energy(chi, sd, tables):
         total += vol * float(tables.bulk(int(chi.cell_value[i]),
                                          g.gradients[i], sd.G[i]))
 
-    for axis, fixed, flo, fhi, free_axes, bounds in g.mesh.interior_faces():
+    for face in g.mesh.interior_faces():
+        _, _, flo, fhi, _, _ = face
         phase_lo = int(chi.cell_value[flo])
         phase_hi = int(chi.cell_value[fhi])
-        phase_jumps = phase_lo != phase_hi
-        facet = _grid_face_facet(g, axis, fixed, flo, fhi, free_axes, bounds,
-                                 keep_all=phase_jumps)
+        facet = grid_face_facet(g, face, keep_all=phase_lo != phase_hi)
         if facet is None:
             continue  # neither field jumps across this face
         up, lo = _traces_at(g, flo, fhi, facet.quad_points)

@@ -9,7 +9,6 @@ from sdrelax import (
     estimate_relaxed_bulk,
     estimate_relaxed_surface,
     frame_grid_minimum,
-    frame_oracle,
     identity_frame,
     relaxed_bulk_abs,
     relaxed_surface_abs,
@@ -72,7 +71,6 @@ def test_frame_grid_finds_the_equalizing_frame():
     value, frame = frame_grid_minimum(np.diag([1.0, -1.0]), PSI_ABS)
     assert value == pytest.approx(0.0, abs=1e-6)
     assert frame.angles[0] == pytest.approx(np.pi / 4, abs=np.pi / 720)
-    assert frame_oracle(np.diag([1.0, -1.0]), PSI_ABS) == value
 
 
 def test_frame_grid_never_beats_the_trace_floor():

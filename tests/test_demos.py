@@ -44,3 +44,42 @@ def test_cell_formulas_demo_closes_every_gap(capsys):
     traceless = next(line for line in lines if "A = diag(1, -1)" in line)
     angle = float(traceless.split("frame angle ")[1].split()[0])
     assert angle == pytest.approx(np.pi / 4, abs=1e-6)
+
+
+def _table(capsys, script, title, rows):
+    runpy.run_path(os.path.join(DEMOS, script), run_name="__main__")
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index(title) + 2
+    return [line.split() for line in lines[start:start + rows]]
+
+
+def test_broken_ramp_demo_prints_the_closed_forms(capsys):
+    rows = _table(capsys, "01_broken_ramp.py",
+                  "doubled ramp: g(x) = 2x approximated with unit-slope staircases", 7)
+    assert [int(row[0]) for row in rows] == [1, 2, 4, 8, 16, 32, 64]
+    for row in rows:
+        n = int(row[0])
+        l1, tv, energy = float(row[1]), float(row[3]), float(row[4])
+        assert l1 == pytest.approx(1.0 / (2 * n), abs=1e-10), row
+        # Six printed decimals.
+        assert tv == pytest.approx((n - 1) / n, abs=5e-7), row
+        assert energy == pytest.approx((n - 1) / n, abs=5e-7), row
+
+
+def test_deck_of_cards_demo_prints_zero_energy(capsys):
+    rows = _table(capsys, "02_deck_of_cards.py",
+                  "deck of cards: shear carried entirely by interlayer slips", 6)
+    assert [int(row[0]) for row in rows] == [1, 2, 4, 8, 16, 32]
+    for row in rows:
+        n = int(row[0])
+        assert float(row[1]) == pytest.approx((n - 1) / n, abs=5e-7), row
+        assert float(row[2]) == 0.0, row
+
+
+def test_plus_minus_demo_residuals_vanish(capsys):
+    rows = _table(capsys, "05_plus_minus_identity.py",
+                  "one-sided split of the relaxed energy", 8)
+    assert [row[0] for row in rows[:2]] == ["ramp", "cards"]
+    for row in rows:
+        residuals = [float(v) for v in row[-3:]]
+        assert max(abs(r) for r in residuals) <= 1e-12, row

@@ -146,6 +146,34 @@ def test_surface_axioms_certify_the_sign():
     assert report.check("nonnegative").worst > 0.0
 
 
+def test_surface_axioms_certify_the_declared_normal_form():
+    for name in DENSITY_KINDS["surface"]:
+        density = surface_density(name)
+        report = check_surface_axioms(density, dim=3, sample_count=2000)
+        assert _status(report, "normal_form") == "pass", name
+        if density.normal_form is None:
+            assert report.check("normal_form").worst == 0.0
+    # fn charges |lam . nu| but the declared profile charges only the
+    # positive part, so every sample with a negative normal jump disagrees.
+    mislabeled = SurfaceDensity("mislabeled_abs",
+                                lambda lam, nu: abs(float(lam @ nu)),
+                                normal_form=lambda q: np.maximum(q, 0.0))
+    report = check_surface_axioms(mislabeled, dim=3, sample_count=2000)
+    assert not report.passed
+    assert _status(report, "normal_form") == "fail"
+    check = report.check("normal_form")
+    lam = np.array(check.witness["jump"])
+    nu = np.array(check.witness["normal"])
+    assert float(lam @ nu) < 0.0
+    assert check.worst > 1e-9
+    # A profile that agrees up to rounding still passes.
+    rounded = SurfaceDensity("rounded_abs",
+                             lambda lam, nu: abs(float(lam @ nu)),
+                             normal_form=lambda q: np.abs(q) * (1.0 + 1e-15))
+    report = check_surface_axioms(rounded, dim=3, sample_count=2000)
+    assert _status(report, "normal_form") == "pass"
+
+
 def test_interface_axioms_for_the_phase_gap_kernel():
     report = check_interface_axioms(interface_density("phase_gap_normal_jump"),
                                     dim=2)

@@ -7,17 +7,31 @@ import warnings
 import numpy as np
 import pytest
 
+from sdrelax import fields, geometry
 from sdrelax.core import Frame, identity_frame
-from sdrelax.energy import DensitySet, bulk_density, surface_density, energy
+from sdrelax.energy import (
+    DENSITY_KINDS,
+    DensitySet,
+    bulk_density,
+    energy,
+    interface_density,
+    surface_density,
+)
 from sdrelax.errors import DomainError
 from sdrelax.fields import (
-    _piece_geometry,
+    GridField,
+    GridMesh,
+    _face_pieces,
+    _facet_from_face,
+    _lift,
+    _piece_quadrature,
     average_gradient,
     broken_ramp,
     broken_ramp_deformation,
     deck_of_cards,
     deck_of_cards_deformation,
     evaluate,
+    grid_face_facet,
     jump_competitor,
     jump_measure,
     l1_distance,
@@ -31,7 +45,13 @@ from sdrelax.fields import (
     two_valued_datum,
     validate_accommodation,
 )
-from sdrelax.geometry import Box
+from sdrelax.geometry import Box, unit_cube
+from sdrelax.optdesign import (
+    DesignDensityTables,
+    PhaseField,
+    design_energy,
+    relaxed_design_energy,
+)
 
 PSI_ABS = surface_density("abs_normal_jump")
 DS_ABS = DensitySet.simple(bulk_density("zero"), PSI_ABS)
@@ -48,13 +68,228 @@ def test_zero_area_face_piece_is_measured_without_dividing():
     collinear = np.array([[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        centroid, measure = _piece_geometry(3, collinear)
-    assert measure == 0.0
-    assert np.all(np.isfinite(centroid))
+        nodes, wts = _piece_quadrature(3, collinear)
+    assert float(wts.sum()) == 0.0
     square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    centroid, measure = _piece_geometry(3, square)
+    nodes, wts = _piece_quadrature(3, square)
+    measure = float(wts.sum())
     assert measure == pytest.approx(1.0)
-    assert centroid == pytest.approx([0.5, 0.5])
+    assert (wts @ nodes) / measure == pytest.approx([0.5, 0.5])
+
+
+# Reference: the facet construction as it was before each face piece got
+# a single quadrature. It measures every piece and part by a quadrature of
+# its own, quadratures each part once more for its nodes, and evaluates the
+# jump at the centroid of the piece and again at the centroid of each part.
+def _oracle_piece_geometry(dim, piece):
+    if dim == 1:
+        return np.zeros(0), 1.0
+    if dim == 2:
+        a, b = piece
+        return np.array([0.5 * (a + b)]), b - a
+    pts, wts = geometry.polygon_quadrature2(piece)
+    area = float(wts.sum())
+    if area <= geometry.MEASURE_EPS:
+        return np.zeros(2), area
+    return (wts @ pts) / area, area
+
+
+def _oracle_facet_from_face(dim, axis, fixed, free_bounds, cut_lines,
+                            normal_phys, jump_centroid, jump_grad_free,
+                            rotation, plane_offset, keep_all=False):
+    pieces = _face_pieces(dim, free_bounds, cut_lines)
+    s_grad = jump_grad_free.T @ normal_phys if dim > 1 else np.zeros(0)
+    all_pts, all_wts, all_jumps = [], [], []
+    total_area = 0.0
+    for piece in pieces:
+        w_c, measure = _oracle_piece_geometry(dim, piece)
+        if measure <= geometry.MEASURE_EPS:
+            continue
+        j_c = jump_centroid(_lift(w_c.reshape(1, -1), axis, fixed, dim))[0]
+        sub = [piece]
+        if dim > 1 and float(np.linalg.norm(s_grad)) > 1e-13:
+            s_c = float(normal_phys @ j_c)
+            rhs = float(s_grad @ w_c) - s_c
+            if dim == 2:
+                a, b = piece
+                root = rhs / s_grad[0]
+                if a + 1e-13 < root < b - 1e-13:
+                    sub = [(a, root), (root, b)]
+            else:
+                vals = piece @ s_grad - rhs
+                if vals.min() < -1e-13 < 1e-13 < vals.max():
+                    lo_p, hi_p = geometry.split_polygon_by_line(piece, s_grad, rhs)
+                    sub = [p for p in (lo_p, hi_p)
+                           if len(p) >= 3
+                           and geometry.polygon_area2(p) > geometry.MEASURE_EPS]
+        for part in sub:
+            w_part, part_measure = _oracle_piece_geometry(dim, part)
+            if part_measure <= geometry.MEASURE_EPS:
+                continue
+            nodes, wts = _piece_quadrature(dim, part)
+            j_part = jump_centroid(_lift(w_part.reshape(1, -1), axis, fixed, dim))[0]
+            jumps = j_part[None, :] + (nodes - w_part) @ jump_grad_free.T
+            pts_ref = _lift(nodes, axis, fixed, dim)
+            pts = pts_ref if rotation is None else pts_ref @ rotation.T
+            all_pts.append(pts)
+            all_wts.append(wts)
+            all_jumps.append(jumps)
+            total_area += part_measure
+    if not all_pts:
+        return None
+    pts = np.vstack(all_pts)
+    wts = np.concatenate(all_wts)
+    jumps = np.vstack(all_jumps)
+    spread = float(np.max(np.abs(jumps - jumps[0]))) if len(jumps) else 0.0
+    const = jumps[0] if spread <= 1e-13 else None
+    if (not keep_all and const is not None
+            and float(np.max(np.abs(const))) <= fields.JUMP_TOL):
+        return None
+    return fields.Facet(normal=normal_phys, area=total_area, quad_points=pts,
+                        quad_weights=wts, quad_jumps=jumps,
+                        constant_jump=const, plane_axis=axis,
+                        plane_offset=plane_offset)
+
+
+SURFACE_DENSITIES = [surface_density(name) for name in DENSITY_KINDS["surface"]]
+
+
+def _facet_summary(u):
+    """Per facet (area, weight sum, integral of the jump), plus jump_measure
+    under every registry surface density."""
+    rows = [(f.area, float(f.quad_weights.sum()), f.quad_weights @ f.quad_jumps)
+            for f in u.facets()]
+    return rows, [jump_measure(u, psi) for psi in SURFACE_DENSITIES]
+
+
+def _assert_matches_oracle(monkeypatch, build):
+    """build() must return a fresh field: facets are cached per field."""
+    got = _facet_summary(build())
+    with monkeypatch.context() as m:
+        m.setattr(fields, "_facet_from_face", _oracle_facet_from_face)
+        want = _facet_summary(build())
+    assert len(got[0]) == len(want[0])
+    for (area, wsum, integral), (area0, wsum0, integral0) in zip(got[0], want[0]):
+        assert area == pytest.approx(area0, abs=1e-12)
+        assert wsum == pytest.approx(wsum0, abs=1e-12)
+        assert integral == pytest.approx(integral0, abs=1e-12)
+    assert got[1] == pytest.approx(want[1], abs=1e-12)
+    return got
+
+
+@pytest.mark.parametrize("dim,n_values", [(2, (1, 3, 4, 7)), (3, (2, 3, 5))])
+def test_clamped_staircase_facets_match_the_kept_construction(monkeypatch, dim,
+                                                              n_values):
+    rng = np.random.default_rng(50 + dim)
+    for n in n_values:
+        for _ in range(2):
+            A = rng.normal(size=(dim, dim))
+            B = rng.normal(size=(dim, dim))
+            frame = Frame(tuple(rng.uniform(0.0, np.pi, size=dim * (dim - 1) // 2)),
+                          dim)
+            rows, _ = _assert_matches_oracle(
+                monkeypatch, lambda: staircase_sequence(A, B, frame, n))
+            assert rows
+
+
+def _rotated_grid_field(seed, dim, resolution):
+    rng = np.random.default_rng(seed)
+    R, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    mesh = GridMesh(unit_cube(dim), resolution, R)
+    return GridField(mesh, rng.normal(size=(mesh.n_cells, dim, dim)),
+                     rng.normal(size=(mesh.n_cells, dim)))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_grid_field_facets_match_the_kept_construction(monkeypatch, dim):
+    for seed, continuous in ((5, True), (6, False)):
+        def build():
+            return random_structured_deformation(seed, dim=dim, resolution=3,
+                                                 continuous=continuous).g
+        rows, _ = _assert_matches_oracle(monkeypatch, build)
+        assert bool(rows) != continuous  # continuous fields carry no facets
+    rows, _ = _assert_matches_oracle(monkeypatch,
+                                     lambda: _rotated_grid_field(7, dim, 2))
+    assert rows
+
+
+def test_design_energies_match_the_kept_construction(monkeypatch):
+    ds = DensitySet.design(bulk_density("zero"), bulk_density("zero"),
+                           PSI_ABS, surface_density("jump_magnitude"),
+                           interface_density("phase_gap_normal_jump"))
+    tables = DesignDensityTables(
+        bulk=lambda i, Ag, Bg: abs(float(np.trace(Ag - Bg))),
+        interface=lambda a, b, c, d, nu: (abs(a - b)
+                                          + abs(float((c - d) @ nu))))
+    rng = np.random.default_rng(57)
+    cases = [random_structured_deformation(seed, dim=dim, resolution=3,
+                                           continuous=continuous)
+             for seed, dim, continuous in ((8, 2, True), (9, 2, False),
+                                           (10, 3, False))]
+    for sd in cases:
+        chi = PhaseField(sd.g.mesh, rng.integers(0, 2, size=sd.g.mesh.n_cells))
+
+        def values():
+            return (design_energy(chi, sd.g, ds),
+                    relaxed_design_energy(chi, sd, tables))
+
+        got = values()
+        with monkeypatch.context() as m:
+            m.setattr(fields, "_facet_from_face", _oracle_facet_from_face)
+            want = values()
+        assert got == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("normal_jump_at_origin,quadratures", [(1.0, 1), (-0.25, 3)])
+def test_one_quadrature_per_unsplit_face_piece(monkeypatch, normal_jump_at_origin,
+                                               quadratures):
+    # One unit-square piece of the face x3 = 0.5. The normal jump
+    # c + w1 / 2 keeps its sign for c = 1 and changes it at w1 = 1/2 for
+    # c = -1/4, where the piece splits in two halves.
+    grad_free = np.array([[0.3, -0.2], [0.1, 0.4], [0.5, 0.0]])
+    const = np.array([0.2, -0.1, normal_jump_at_origin])
+
+    def jump_at(pts_ref):
+        return const[None, :] + pts_ref[:, :2] @ grad_free.T
+
+    args = (3, 2, 0.5, [(0.0, 1.0), (0.0, 1.0)], [], np.eye(3)[2], jump_at,
+            grad_free, None, 0.5)
+    calls = []
+    real = geometry.polygon_quadrature2
+
+    def counted(verts):
+        calls.append(len(verts))
+        return real(verts)
+
+    with monkeypatch.context() as m:
+        m.setattr(geometry, "polygon_quadrature2", counted)
+        facet = _facet_from_face(*args)
+    assert len(calls) == quadratures
+    oracle = _oracle_facet_from_face(*args)
+    assert facet.area == pytest.approx(oracle.area, abs=1e-15)
+    assert facet.quad_weights.sum() == pytest.approx(oracle.quad_weights.sum(),
+                                                     abs=1e-15)
+    assert facet.quad_weights @ facet.quad_jumps == pytest.approx(
+        oracle.quad_weights @ oracle.quad_jumps, abs=1e-15)
+    # The halves overlap by the split tolerance, so areas hold to 1e-12.
+    assert facet.area == pytest.approx(1.0, abs=1e-12)
+    exact = 1.25 if normal_jump_at_origin > 0 else 0.125  # integral of |c + w1/2|
+    assert facet.quad_weights @ np.abs(facet.quad_jumps[:, 2]) == pytest.approx(
+        exact, abs=1e-12)
+
+
+def test_grid_fields_keep_the_corner_quick_reject():
+    # Cells whose maps differ by 1e-11 in slope: the jump is not constant
+    # but stays below JUMP_TOL on the whole face.
+    mesh = GridMesh(Box((0.0, 0.0), (1.0, 1.0)), (2, 1))
+    grads = np.stack([np.eye(2), np.eye(2) + 1e-11 * np.outer([1.0, 0.0], [0.0, 1.0])])
+    u = GridField(mesh, grads, np.zeros((2, 2)))
+    face, = mesh.interior_faces()
+    assert u.facets() == ()
+    assert grid_face_facet(u, face, quick_reject=True) is None
+    facet = grid_face_facet(u, face)
+    assert facet is not None and facet.constant_jump is None
+    assert facet.area == pytest.approx(1.0)
 
 
 def test_broken_ramp_pointwise_values():
