@@ -11,8 +11,13 @@ competitor families whose energies have closed forms:
   The estimate minimizes the limiting frame cost over frames with a
   multistart Nelder-Mead search; a dense frame-grid oracle provides an
   independent upper-bound check.
-* surface: a single midplane (cost exactly Psi(jump, normal)), stacks of
-  parallel planes sharing the jump, and two-plane tent profiles.
+* surface: a single midplane (cost exactly Psi(jump, normal)) and
+  two-plane tent profiles. The surface densities of the relaxation setting
+  are positively one-homogeneous in the jump, so a stack of parallel
+  planes sharing the jump costs what the midplane costs and is not
+  searched; a declared normal_form f is moreover nonnegative, hence convex,
+  so no tent beats the midplane either and that density is not searched
+  at all.
 
 Estimates are deterministic: restarts come from closed-form seeds and a
 low-discrepancy lattice, never from a random source.
@@ -20,9 +25,8 @@ low-discrepancy lattice, never from a random source.
 Densities declaring a normal_form profile f (Psi(jump, normal) =
 f(jump . normal)) are priced without calling Psi: the frame grid and
 frame_cost of a square M read f off the diagonal of R^T M R, the grid
-building that diagonal in stages from closed forms, and the surface
-families apply f to lam . nu scaled by the split fractions or the tent's
-tilt. Any other density is evaluated term by term.
+building that diagonal in stages from closed forms. Any other density is
+evaluated term by term.
 """
 
 import math
@@ -438,18 +442,6 @@ def estimate_relaxed_bulk(A, B, densities, budget=None):
 # ---------------------------------------------------------------------------
 # Surface cell problem.
 
-def _simplex_fractions(x):
-    q = np.square(x)
-    total = q.sum()
-    if total <= 1e-300:
-        return np.full(x.size, 1.0 / x.size)
-    return q / total
-
-
-def _split_offsets(k):
-    return tuple((j - 0.5 * (k - 1)) * 0.8 / k for j in range(k))
-
-
 def _tent_value(lam, nu, psi, t, beta, tangents):
     """Cost of the two-plane tent with ridge height parameter t."""
     h = 0.49 * np.tanh(t)
@@ -463,32 +455,20 @@ def _tent_value(lam, nu, psi, t, beta, tangents):
     return 0.5 * scale * (float(psi(lam, mu_up)) + float(psi(lam, mu_dn)))
 
 
-def _tent_normal_value(q, lam_t, profile, t, beta):
-    """_tent_value for a density with normal_form f, from scalars alone.
-
-    q is lam . nu and lam_t holds lam . tau for each tangent, so that
-    lam . mu_up and lam . mu_dn are (q -/+ 2 h lam . tau) / scale.
-    """
-    h = 0.49 * math.tanh(t)
-    if len(lam_t) == 1:
-        slope = lam_t[0]
-    else:
-        slope = math.cos(beta) * lam_t[0] + math.sin(beta) * lam_t[1]
-    scale = math.sqrt(1.0 + 4.0 * h * h)
-    return 0.5 * scale * (float(profile((q - 2.0 * h * slope) / scale))
-                          + float(profile((q + 2.0 * h * slope) / scale)))
-
-
 def estimate_relaxed_surface(jump, normal, psi, budget=None):
     """Upper estimate of the surface cell problem on the rotated unit cube.
 
-    Competitor families, tried in order with earlier families winning ties:
-    the flat midplane (cost exactly psi(jump, normal)), stacks of up to four
-    parallel planes splitting the jump into optimized fractions, and
-    two-plane tent profiles that trade extra area for tilted normals. For a
-    density declaring normal_form f, split and tent costs are priced from
-    lam . nu directly: a split with fractions f_i costs sum_i f(f_i lam . nu)
-    and a tent applies f at lam . mu of its two tilted normals.
+    The flat midplane costs exactly psi(jump, normal) and wins ties. A
+    density declaring normal_form f gets it with no search: f is taken as
+    nonnegative and one-homogeneous (check_surface_axioms certifies both),
+    so f(q) = f(1) q+ + f(-1) q- is convex and, by Jensen, a tent of area
+    factor s with tilted normal components q_up, q_dn averaging q / s costs
+    (s / 2) (f(q_up) + f(q_dn)) >= s f(q / s) = f(q). Any other density in
+    two or more dimensions is searched over two-plane tent profiles that
+    trade extra area for tilted normals, each priced by calling psi.
+    Stacks of parallel planes are not searched: for a one-homogeneous
+    density, fractions t_i of the jump cost sum_i t_i psi(jump, normal),
+    the midplane's cost.
     """
     budget = budget or OptimizerBudget()
     lam = np.asarray(jump, dtype=float).reshape(-1)
@@ -500,69 +480,32 @@ def estimate_relaxed_surface(jump, normal, psi, budget=None):
     best_label = "midplane"
     best_extra = {}
 
-    nm_options = {"maxiter": budget.max_iterations,
-                  "xatol": budget.simplex_tolerance,
-                  "fatol": budget.simplex_tolerance}
-
-    profile = getattr(psi, "normal_form", None)
-    if profile is not None:
-        q = float(lam @ nu)
-
-        def split_cost(x):
-            return float(profile(_simplex_fractions(x) * q).sum())
-    else:
-        def split_cost(x):
-            return sum(float(psi(f * lam, nu)) for f in _simplex_fractions(x))
-
-    for k in range(2, 5):
-        offsets = _split_offsets(k)
-        starts = [np.ones(k)]
-        alphas = _kronecker_alphas(k)
-        starts.extend(1.0 + 0.75 * (((r + 1) * alphas) % 1.0)
-                      for r in range(min(2, budget.restarts - 1)))
-        for x0 in starts:
-            res = optimize.minimize(split_cost, x0, method="Nelder-Mead",
-                                    options=nm_options)
-            val = float(split_cost(res.x))
-            if not np.isfinite(val):
-                raise NumericalFailureError(
-                    "parallel-plane search hit a non-finite cost",
-                    payload={"competitor": {"family": f"parallel-{k}",
-                                            "parameters": np.asarray(res.x).tolist()}})
-            if val < best_value - 1e-12:
-                fr = _simplex_fractions(res.x)
-                best_value = val
-                best_splits = tuple((float(f), o) for f, o in zip(fr, offsets))
-                best_label = f"parallel-{k}"
-                best_extra = {}
-
-    if dim >= 2:
+    if getattr(psi, "normal_form", None) is None and dim >= 2:
         tangents = np.column_stack(geo.orthonormal_tangents(nu))
-        if profile is not None:
-            lam_t = [float(v) for v in lam @ tangents]
+        nm_options = {"maxiter": budget.max_iterations,
+                      "xatol": budget.simplex_tolerance,
+                      "fatol": budget.simplex_tolerance}
 
         def tent_cost(x):
             beta = x[1] if x.size > 1 else 0.0
-            if profile is not None:
-                return _tent_normal_value(q, lam_t, profile, x[0], beta)
             return _tent_value(lam, nu, psi, x[0], beta, tangents)
 
-        tent_starts = [np.array([0.2, 0.0][:max(1, dim - 1)]),
-                       np.array([0.9, 1.3][:max(1, dim - 1)])]
-        alphas = _kronecker_alphas(max(1, dim - 1))
+        tent_starts = [np.array([0.2, 0.0][:dim - 1]),
+                       np.array([0.9, 1.3][:dim - 1])]
+        alphas = _kronecker_alphas(dim - 1)
         tent_starts.extend(np.asarray((((r + 1) * alphas) % 1.0) * 1.5)
                            for r in range(min(2, budget.restarts - 1)))
         for x0 in tent_starts:
-            res = optimize.minimize(tent_cost, np.atleast_1d(x0), method="Nelder-Mead",
+            res = optimize.minimize(tent_cost, x0, method="Nelder-Mead",
                                     options=nm_options)
-            val = float(tent_cost(np.atleast_1d(res.x)))
+            val = float(tent_cost(res.x))
             if not np.isfinite(val):
                 raise NumericalFailureError(
                     "tent search hit a non-finite cost",
                     payload={"competitor": {"family": "tent",
-                                            "parameters": np.asarray(res.x).tolist()}})
+                                            "parameters": res.x.tolist()}})
             if val < best_value - 1e-12:
-                h = 0.49 * np.tanh(float(np.atleast_1d(res.x)[0]))
+                h = 0.49 * np.tanh(float(res.x[0]))
                 best_value = val
                 best_splits = None
                 best_label = "tent"

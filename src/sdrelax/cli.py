@@ -32,8 +32,8 @@ from .fields import (broken_ramp, broken_ramp_deformation, deck_of_cards,
                      deck_of_cards_deformation, random_structured_deformation,
                      save_field, sequence_report)
 from .optdesign import DesignBoundaryData, estimate_interface_cell
-from .relaxed import (EXACT_KINDS, verify_plus_minus_identity,
-                      verify_trace_sandwich)
+from .relaxed import (EXACT_KINDS, UNRELAXED_SURFACE, exact_pair,
+                      verify_plus_minus_identity, verify_trace_sandwich)
 
 _EXAMPLES = {
     "broken-ramp": (broken_ramp_deformation, 1, "jump_magnitude"),
@@ -184,15 +184,10 @@ def _cmd_cell(params, seed, jobs):
         raise ConfigError(f"kind must be one of {EXACT_KINDS}")
     scale = float(params.get("scale", 1.0))
     budget = _budget_from(params)
-    psi = surface_density(params.get("surface_density",
-                                     {"abs": "abs_normal_jump",
-                                      "plus": "pos_normal_jump",
-                                      "minus": "neg_normal_jump"}[kind]))
+    psi = surface_density(params.get("surface_density", UNRELAXED_SURFACE[kind]))
     W0 = bulk_density(params.get("bulk_density", "zero"))
     ds = DensitySet.simple(W0, psi)
-    from .core import (relaxed_bulk_abs, relaxed_bulk_minus, relaxed_bulk_plus)
-    exact = {"abs": relaxed_bulk_abs, "plus": relaxed_bulk_plus,
-             "minus": relaxed_bulk_minus}[kind]
+    exact = exact_pair(kind).bulk
     cases = _gradient_pairs(params, seed, 10, dim, scale)
 
     def work(i):

@@ -41,8 +41,12 @@ class SurfaceDensity:
 
     normal_form, when present, is the scalar profile f with
     Psi(jump, normal) = f(jump . normal), applied elementwise to arrays.
-    check_surface_axioms certifies it against fn: frame_cost, the staged
-    frame grid and the surface cell search price with f alone.
+    A declared f is taken as nonnegative and one-homogeneous, hence convex;
+    check_surface_axioms certifies it against fn and certifies both
+    properties (nonnegative, one_homogeneity). frame_cost and the staged
+    frame grid price with f alone, and the surface cell returns the
+    midplane f(jump . normal) without a search, since under these
+    properties no stack of parallel planes and no tent costs less.
     """
 
     name: str

@@ -27,7 +27,8 @@ from itertools import product
 import numpy as np
 
 from . import geometry as geo
-from .core import as_matrix, as_unit_vector, decompose_by_frame
+from .core import (Frame, as_matrix, as_unit_vector, decompose_by_frame,
+                   identity_frame)
 from .errors import (DimensionMismatchError, DomainError, MeshMismatchError,
                      NonUnitNormalError)
 from .geometry import Box
@@ -802,14 +803,12 @@ def staircase_sequence(A, B, frame, n, domain=None, clamp=True):
 
 def broken_ramp(n):
     """n-th staircase approximating the doubled ramp on (0, 1)."""
-    from .core import Frame
     return staircase_sequence([[2.0]], [[1.0]], Frame((), 1), n,
                               domain=geo.corner_cube(1), clamp=False)
 
 
 def deck_of_cards(n):
     """n-th sliding-deck approximation on (0, 1)^3: layers shift along x1."""
-    from .core import identity_frame
     A = np.eye(3)
     A[0, 2] = 1.0
     return staircase_sequence(A, np.eye(3), identity_frame(3), n,

@@ -33,8 +33,8 @@ _EXACT_BULK = {"abs": relaxed_bulk_abs, "plus": relaxed_bulk_plus,
                "minus": relaxed_bulk_minus}
 _EXACT_SURFACE = {"abs": relaxed_surface_abs, "plus": relaxed_surface_plus,
                   "minus": relaxed_surface_minus}
-_UNRELAXED_SURFACE = {"abs": "abs_normal_jump", "plus": "pos_normal_jump",
-                      "minus": "neg_normal_jump"}
+UNRELAXED_SURFACE = {"abs": "abs_normal_jump", "plus": "pos_normal_jump",
+                     "minus": "neg_normal_jump"}
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ def estimated_pair(kind="abs", budget=None):
     """
     if kind not in EXACT_KINDS:
         raise DensityError(f"unknown estimated pair flavor {kind!r}")
-    psi = surface_density(_UNRELAXED_SURFACE[kind])
+    psi = surface_density(UNRELAXED_SURFACE[kind])
     ds = DensitySet.simple(bulk_density("zero"), psi)
     budget = budget or OptimizerBudget()
     bulk_memo = {}
@@ -196,7 +196,7 @@ def verify_trace_sandwich(A, B, kinds=EXACT_KINDS, budget=None,
     entries = []
     for kind in kinds:
         lower = float(_EXACT_BULK[kind](A, B))
-        psi = surface_density(_UNRELAXED_SURFACE[kind])
+        psi = surface_density(UNRELAXED_SURFACE[kind])
         ds = DensitySet.simple(bulk_density("zero"), psi)
         est = estimate_relaxed_bulk(A, B, ds, budget)
         grid_value, grid_frame = frame_grid_minimum(A - B, psi,

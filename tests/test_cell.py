@@ -1,10 +1,13 @@
 """Cell problems: frame search, refinement estimates, competitors."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 
+from sdrelax import cell, geometry as geo
 from sdrelax import (
     estimate_relaxed_bulk,
     estimate_relaxed_surface,
@@ -23,7 +26,8 @@ from sdrelax.cell import (
     realize_surface_competitor,
 )
 from sdrelax.core import Frame, frame_cost
-from sdrelax.energy import BulkDensity, DensitySet, bulk_density, surface_density
+from sdrelax.energy import (BulkDensity, DensitySet, SurfaceDensity, bulk_density,
+                            check_surface_axioms, surface_density)
 from sdrelax.errors import NumericalFailureError
 
 PSI_ABS = surface_density("abs_normal_jump")
@@ -236,6 +240,227 @@ def test_surface_estimate_normal_form_route_matches_psi_route():
                 slow = estimate_relaxed_surface(lam, nu, plain)
                 assert fast.value == pytest.approx(slow.value, abs=1e-12)
                 assert fast.meta == slow.meta
+
+
+# Kept copy of the surface estimator that also searched stacks of two to
+# four parallel planes and priced normal-form splits and tents from lam . nu.
+
+def _oracle_kronecker_alphas(count):
+    g = 1.5
+    for _ in range(64):
+        g = (1.0 + g) ** (1.0 / (count + 1))
+    return (1.0 / g) ** np.arange(1, count + 1)
+
+
+def _oracle_simplex_fractions(x):
+    q = np.square(x)
+    total = q.sum()
+    if total <= 1e-300:
+        return np.full(x.size, 1.0 / x.size)
+    return q / total
+
+
+def _oracle_split_offsets(k):
+    return tuple((j - 0.5 * (k - 1)) * 0.8 / k for j in range(k))
+
+
+def _oracle_tent_value(lam, nu, psi, t, beta, tangents):
+    h = 0.49 * np.tanh(t)
+    if tangents.shape[1] == 1:
+        tau = tangents[:, 0]
+    else:
+        tau = np.cos(beta) * tangents[:, 0] + np.sin(beta) * tangents[:, 1]
+    scale = np.sqrt(1.0 + 4.0 * h * h)
+    mu_up = (nu - 2.0 * h * tau) / scale
+    mu_dn = (nu + 2.0 * h * tau) / scale
+    return 0.5 * scale * (float(psi(lam, mu_up)) + float(psi(lam, mu_dn)))
+
+
+def _oracle_tent_normal_value(q, lam_t, profile, t, beta):
+    h = 0.49 * math.tanh(t)
+    if len(lam_t) == 1:
+        slope = lam_t[0]
+    else:
+        slope = math.cos(beta) * lam_t[0] + math.sin(beta) * lam_t[1]
+    scale = math.sqrt(1.0 + 4.0 * h * h)
+    return 0.5 * scale * (float(profile((q - 2.0 * h * slope) / scale))
+                          + float(profile((q + 2.0 * h * slope) / scale)))
+
+
+def _oracle_surface_estimate(lam, nu, psi, budget=OptimizerBudget()):
+    """(value, splits, competitor, meta) of the split-family search."""
+    dim = nu.size
+    best_value = float(psi(lam, nu))
+    best_splits = ((1.0, 0.0),)
+    best_label = "midplane"
+    best_extra = {}
+    nm_options = {"maxiter": budget.max_iterations,
+                  "xatol": budget.simplex_tolerance,
+                  "fatol": budget.simplex_tolerance}
+    profile = psi.normal_form
+    if profile is not None:
+        q = float(lam @ nu)
+
+        def split_cost(x):
+            return float(profile(_oracle_simplex_fractions(x) * q).sum())
+    else:
+        def split_cost(x):
+            return sum(float(psi(f * lam, nu)) for f in _oracle_simplex_fractions(x))
+
+    for k in range(2, 5):
+        offsets = _oracle_split_offsets(k)
+        starts = [np.ones(k)]
+        alphas = _oracle_kronecker_alphas(k)
+        starts.extend(1.0 + 0.75 * (((r + 1) * alphas) % 1.0)
+                      for r in range(min(2, budget.restarts - 1)))
+        for x0 in starts:
+            res = optimize.minimize(split_cost, x0, method="Nelder-Mead",
+                                    options=nm_options)
+            val = float(split_cost(res.x))
+            if val < best_value - 1e-12:
+                fr = _oracle_simplex_fractions(res.x)
+                best_value = val
+                best_splits = tuple((float(f), o) for f, o in zip(fr, offsets))
+                best_label = f"parallel-{k}"
+                best_extra = {}
+
+    if dim >= 2:
+        tangents = np.column_stack(geo.orthonormal_tangents(nu))
+        if profile is not None:
+            lam_t = [float(v) for v in lam @ tangents]
+
+        def tent_cost(x):
+            beta = x[1] if x.size > 1 else 0.0
+            if profile is not None:
+                return _oracle_tent_normal_value(q, lam_t, profile, x[0], beta)
+            return _oracle_tent_value(lam, nu, psi, x[0], beta, tangents)
+
+        tent_starts = [np.array([0.2, 0.0][:dim - 1]),
+                       np.array([0.9, 1.3][:dim - 1])]
+        alphas = _oracle_kronecker_alphas(dim - 1)
+        tent_starts.extend(np.asarray((((r + 1) * alphas) % 1.0) * 1.5)
+                           for r in range(min(2, budget.restarts - 1)))
+        for x0 in tent_starts:
+            res = optimize.minimize(tent_cost, np.atleast_1d(x0), method="Nelder-Mead",
+                                    options=nm_options)
+            val = float(tent_cost(np.atleast_1d(res.x)))
+            if val < best_value - 1e-12:
+                best_value = val
+                best_splits = None
+                best_label = "tent"
+                best_extra = {"ridge_height": float(0.49 * np.tanh(float(res.x[0])))}
+
+    competitor = {"family": best_label, "jump": lam.tolist(), "normal": nu.tolist()}
+    if best_splits is not None:
+        competitor["splits"] = [[float(f), float(o)] for f, o in best_splits]
+    competitor.update(best_extra)
+    return best_value, best_splits, competitor, {"family": best_label}
+
+
+def _one_homogeneous_densities():
+    for name in ("abs_normal_jump", "pos_normal_jump", "neg_normal_jump"):
+        psi = surface_density(name)
+        yield psi
+        yield dataclasses.replace(psi, name=f"{name}(psi route)", normal_form=None)
+    yield surface_density("jump_magnitude")
+
+
+def _homogeneity_status(psi, dim):
+    report = check_surface_axioms(psi, dim=dim, sample_count=200)
+    return next(c.status for c in report.checks if c.name == "one_homogeneity")
+
+
+def _random_cell_data(rng, dim):
+    lam = 10.0 ** rng.uniform(-3.0, 1.0) * rng.normal(size=dim)
+    nu = rng.normal(size=dim)
+    return lam, nu / np.linalg.norm(nu)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_surface_estimate_equals_the_split_family_oracle(dim):
+    rng = np.random.default_rng(72 + dim)
+    for psi in _one_homogeneous_densities():
+        assert _homogeneity_status(psi, dim) == "pass"
+        for _ in range(5):
+            lam, nu = _random_cell_data(rng, dim)
+            sol = estimate_relaxed_surface(lam, nu, psi)
+            value, splits, competitor, meta = _oracle_surface_estimate(lam, nu, psi)
+            assert sol.value == value, psi.name
+            assert sol.meta == meta, psi.name
+            assert sol.splits == splits and sol.competitor == competitor, psi.name
+            # The midplane is the competitor; it realizes the value.
+            _, realized = realize_surface_competitor(lam, nu, sol.splits, psi)
+            assert realized == pytest.approx(sol.value, rel=1e-12, abs=1e-15)
+
+
+def _count_minimize_calls(monkeypatch):
+    calls = []
+    inner = cell.optimize.minimize
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(cell.optimize, "minimize", counting)
+    return calls
+
+
+def test_surface_search_runs_only_where_a_tent_can_win(monkeypatch):
+    calls = _count_minimize_calls(monkeypatch)
+    rng = np.random.default_rng(75)
+    for dim in (1, 2, 3):
+        lam, nu = _random_cell_data(rng, dim)
+        for name in ("abs_normal_jump", "pos_normal_jump", "neg_normal_jump"):
+            calls.clear()
+            estimate_relaxed_surface(lam, nu, surface_density(name))
+            assert len(calls) == 0, (name, dim)
+        calls.clear()
+        estimate_relaxed_surface(lam, nu, surface_density("jump_magnitude"))
+        # Two closed-form tent starts and two lattice starts; none in 1-D.
+        assert len(calls) == (0 if dim == 1 else 4), dim
+
+
+def _anisotropic_density():
+    def fn(lam, nu):
+        return float(np.linalg.norm(lam)) * (0.2 + float(nu[-1]) ** 2)
+
+    return SurfaceDensity("anisotropic_magnitude", fn, lower_c1=0.2, upper_C1=1.2)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_tent_wins_for_an_anisotropic_density(dim):
+    psi = _anisotropic_density()
+    assert _homogeneity_status(psi, dim) == "pass"
+    lam = np.linspace(0.5, 1.0, dim)
+    nu = np.eye(dim)[-1]
+    sol = estimate_relaxed_surface(lam, nu, psi)
+    assert sol.meta["family"] == sol.competitor["family"] == "tent"
+    assert sol.splits is None
+    assert sol.value < psi(lam, nu) - 0.1
+    # Both tilted planes have normal component 1 / s on e_last, where
+    # s = sqrt(1 + 4 h^2) is the tent's area factor, so the tent costs
+    # |lam| (0.2 s + 1 / s) at its reported ridge height h.
+    h = sol.competitor["ridge_height"]
+    s = math.sqrt(1.0 + 4.0 * h * h)
+    assert sol.value == pytest.approx(np.linalg.norm(lam) * (0.2 * s + 1.0 / s),
+                                      rel=1e-12)
+    # The cost falls with h on the family's range h < 0.49.
+    assert h == pytest.approx(0.49, abs=1e-4)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_squared_magnitude_is_bounded_by_its_midplane(dim):
+    psi = surface_density("squared_jump_magnitude")
+    assert _homogeneity_status(psi, dim) == "fail"
+    rng = np.random.default_rng(76 + dim)
+    for _ in range(3):
+        lam, nu = _random_cell_data(rng, dim)
+        sol = estimate_relaxed_surface(lam, nu, psi)
+        # Not one-homogeneous, so n planes carrying lam / n would cost
+        # psi / n; no parallel stack is searched and the midplane stands.
+        assert sol.meta == {"family": "midplane"}
+        assert sol.splits == ((1.0, 0.0),)
+        assert sol.value == psi(lam, nu)
 
 
 def test_splitting_the_jump_never_helps_the_abs_kernel():

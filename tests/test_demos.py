@@ -83,3 +83,50 @@ def test_plus_minus_demo_residuals_vanish(capsys):
     for row in rows:
         residuals = [float(v) for v in row[-3:]]
         assert max(abs(r) for r in residuals) <= 1e-12, row
+
+
+def test_jump_cell_demo_keeps_the_single_plane(capsys):
+    runpy.run_path(os.path.join(DEMOS, "04_jump_cell.py"), run_name="__main__")
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index("surface cell problem, eight random data in three dimensions") + 2
+    rows = [line.split() for line in lines[start:start + 8]]
+    assert [int(row[0]) for row in rows] == list(range(8))
+    for row in rows:
+        direct, two, three = float(row[1]), float(row[3]), float(row[4])
+        assert row[2] == row[1], row
+        # Realized split energies, printed with eight decimals.
+        assert two >= direct - 5e-9 and three >= direct - 5e-9, row
+    tangential = next(line for line in lines if "lam = e1, nu = e3" in line)
+    assert float(tangential.split("estimate ")[1]) == 0.0
+
+
+def test_density_checks_demo_prints_the_expected_statuses(capsys):
+    runpy.run_path(os.path.join(DEMOS, "07_density_checks.py"), run_name="__main__")
+    reports, title = {}, None
+    for line in capsys.readouterr().out.splitlines():
+        if not line:
+            title = None
+        elif title is None:
+            title = line.split(" (")[0]
+            reports[title] = {}
+        else:
+            name, status = line.split()[:2]
+            reports[title][name] = status
+    surface = ("nonnegative", "lower_bound", "upper_bound", "one_homogeneity",
+               "subadditivity", "normal_form")
+    expected = {
+        "normal-jump kernel |lam . nu|":
+            dict(zip(surface, ("pass", "warn", "pass", "pass", "pass", "pass"))),
+        "squared magnitude |lam|^2":
+            dict(zip(surface, ("pass", "warn", "fail", "fail", "fail", "pass"))),
+        "plain magnitude |lam|":
+            dict(zip(surface, ("pass",) * 6)),
+        "phase-gap pair kernel |a - b| |(c - d) . nu|":
+            dict.fromkeys(("nonnegative", "growth_bound", "swap_symmetry",
+                           "trace_lipschitz", "diagonal_vanishing"), "pass"),
+        "bulk growth of the squared Frobenius norm":
+            {"lipschitz_growth": "pass"},
+        "exponential bulk density declared p = 2":
+            {"lipschitz_growth": "fail"},
+    }
+    assert reports == expected
