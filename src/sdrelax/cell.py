@@ -8,9 +8,14 @@ competitor families whose energies have closed forms:
 
 * bulk: clamped staircases built on a rank-one frame decomposition of
   A - B, whose energy tends to the frame cost as the staircase refines.
-  The estimate minimizes the limiting frame cost over frames with a
-  multistart Nelder-Mead search; a dense frame-grid oracle provides an
-  independent upper-bound check.
+  The estimate minimizes the limiting frame cost over frames. For a square
+  A - B under a declared normal_form f, no frame costs less than the trace
+  floor f(tr(A - B)): f is nonnegative and one-homogeneous, hence convex
+  and subadditive, and the diagonal of R^T (A - B) R sums to the trace. So
+  the closed-form and lattice starts are priced first, and when one of them
+  costs the floor it is returned with no search; otherwise, and for every
+  other density, a multistart Nelder-Mead search runs from those starts.
+  A dense frame-grid oracle provides an independent upper-bound check.
 * surface: a single midplane (cost exactly Psi(jump, normal)) and
   two-plane tent profiles. The surface densities of the relaxation setting
   are positively one-homogeneous in the jump, so a stack of parallel
@@ -41,7 +46,7 @@ from .core import (ANGLE_COUNT, Frame, as_matrix, as_unit_vector,
                    decompose_by_frame, frame_angles_from_matrix, frame_cost,
                    frame_matrix, identity_frame)
 from .energy import DensitySet, bulk_density, energy as total_energy
-from .errors import DimensionMismatchError, NumericalFailureError
+from .errors import ConfigError, DimensionMismatchError, NumericalFailureError
 from .fields import jump_competitor, jump_measure, staircase_sequence
 
 DEFAULT_GRID_RESOLUTION = {1: 1, 2: 720, 3: 60}
@@ -51,9 +56,17 @@ DEFAULT_GRID_RESOLUTION = {1: 1, 2: 720, 3: 60}
 class OptimizerBudget:
     """Effort knobs for the cell-problem searches.
 
-    n_schedule lists the staircase refinements used when a competitor is
-    realized; certify=True realizes them eagerly and stores the energies in
-    the solution metadata.
+    restarts, max_iterations and simplex_tolerance steer each Nelder-Mead
+    search. The bulk frame search of a square A - B under a density
+    declaring normal_form runs none when one of its closed-form starts
+    already costs the trace floor f(tr(A - B)), so there restarts only
+    matters when no start reaches the floor. n_schedule lists the staircase
+    refinements used when a competitor is realized; certify=True realizes
+    them eagerly and stores the energies in the solution metadata.
+
+    restarts and max_iterations are integers >= 1, simplex_tolerance is
+    finite and > 0, n_schedule is a nonempty sequence of integers >= 1 and
+    certify is a bool; anything else raises ConfigError.
     """
 
     restarts: int = 8
@@ -63,9 +76,39 @@ class OptimizerBudget:
     certify: bool = False
 
     def __post_init__(self):
-        if self.restarts < 1 or self.max_iterations < 1:
-            raise ValueError("budget needs at least one restart and one iteration")
-        object.__setattr__(self, "n_schedule", tuple(int(n) for n in self.n_schedule))
+        for name in ("restarts", "max_iterations"):
+            value = getattr(self, name)
+            if not (_is_integer(value) and value >= 1):
+                raise ConfigError(f"OptimizerBudget.{name} must be an integer >= 1,"
+                                  f" not {value!r}")
+        tol = self.simplex_tolerance
+        if not ((_is_integer(tol) or isinstance(tol, (float, np.floating)))
+                and math.isfinite(tol) and tol > 0):
+            raise ConfigError("OptimizerBudget.simplex_tolerance must be finite"
+                              f" and > 0, not {tol!r}")
+        schedule = tuple(self.n_schedule) if np.iterable(self.n_schedule) else ()
+        if not (schedule and all(_is_integer(n) and n >= 1 for n in schedule)):
+            raise ConfigError("OptimizerBudget.n_schedule must be a nonempty list"
+                              f" of integers >= 1, not {self.n_schedule!r}")
+        if not isinstance(self.certify, (bool, np.bool_)):
+            raise ConfigError(f"OptimizerBudget.certify must be true or false,"
+                              f" not {self.certify!r}")
+        object.__setattr__(self, "n_schedule", tuple(int(n) for n in schedule))
+
+
+def _is_integer(value):
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _nelder_mead(fun, x0, budget, effort):
+    """One simplex search under the budget, counted in the effort dict."""
+    res = optimize.minimize(fun, np.asarray(x0, dtype=float), method="Nelder-Mead",
+                            options={"maxiter": budget.max_iterations,
+                                     "xatol": budget.simplex_tolerance,
+                                     "fatol": budget.simplex_tolerance})
+    effort["searches"] += 1
+    effort["unconverged"] += int(not res.success)
+    return res
 
 
 @dataclass(frozen=True)
@@ -314,7 +357,7 @@ def realize_bulk_competitor(A, B, frame, n, densities=None, domain=None):
     return u, total_energy(u, densities)
 
 
-def _laminate_minimum(W, B, budget, nm_options):
+def _laminate_minimum(W, B, budget, effort):
     """Best averaged bulk value of two-gradient laminates around B.
 
     The laminate alternates gradients B + p (x) q and B - p (x) q in equal
@@ -338,8 +381,7 @@ def _laminate_minimum(W, B, budget, nm_options):
     starts.extend(2.0 * (((r + 1) * alphas) % 1.0) - 1.0
                   for r in range(max(1, budget.restarts - 2)))
     for z0 in starts:
-        res = optimize.minimize(objective, z0, method="Nelder-Mead",
-                                options=nm_options)
+        res = _nelder_mead(objective, z0, budget, effort)
         val = float(objective(res.x))
         if not np.isfinite(val):
             raise NumericalFailureError(
@@ -362,11 +404,24 @@ def estimate_relaxed_bulk(A, B, densities, budget=None):
     The value is the staircase family's limiting energy: the bulk term at
     the target gradient B (routed through a two-gradient laminate around B
     whenever that is cheaper) plus the frame cost of A - B at the best
-    frame found by a deterministic multistart simplex search. Staircases at
-    the budget's n_schedule realize the competitor sequence; their energies
-    converge to the value at rate 1/n, and certify=True evaluates and
-    stores them. Frame ties within 1e-10 resolve to the lexicographically
-    smallest angle tuple modulo pi.
+    frame found. Staircases at the budget's n_schedule realize the
+    competitor sequence; their energies converge to the value at rate 1/n,
+    and certify=True evaluates and stores them.
+
+    The frames come from deterministic starts (closed forms, then a
+    lattice). For a square M = A - B and a density declaring normal_form f,
+    every frame costs at least the trace floor f(tr M): f is certified
+    nonnegative and one-homogeneous, hence convex and subadditive, and the
+    diagonal of R^T M R sums to tr M. When some start costs the floor to
+    within 1e-12 max(1, |f(tr M)|), the best such start is returned and no
+    simplex search runs (route "trace-floor"); otherwise a Nelder-Mead
+    search runs from every start (route "search"). In 1-D the identity is
+    the only frame (route "single-frame"). The floor never enters
+    the value, which is always the frame cost at the returned frame. Ties
+    within 1e-10 resolve, among the frames examined, to the
+    lexicographically smallest angle tuple modulo pi. meta records the
+    route, the Nelder-Mead runs (searches, laminate included) and those
+    ending unconverged.
     """
     budget = budget or OptimizerBudget()
     A = as_matrix(A)
@@ -376,45 +431,58 @@ def estimate_relaxed_bulk(A, B, densities, budget=None):
     W, psi = densities.require_simple()
     M = A - B
     dim = A.shape[1]
-    nm_options = {"maxiter": budget.max_iterations,
-                  "xatol": budget.simplex_tolerance,
-                  "fatol": budget.simplex_tolerance}
+    effort = {"searches": 0, "unconverged": 0}
 
     laminate = None
     if getattr(W, "is_zero", False):
         bulk_part = 0.0
     else:
-        bulk_part, laminate = _laminate_minimum(W, B, budget, nm_options)
+        bulk_part, laminate = _laminate_minimum(W, B, budget, effort)
 
     if dim == 1:
         frame = identity_frame(1)
         surface_part = float(psi(M[:, 0], np.ones(1)))
         meta = {"starts": 1, "n_schedule": budget.n_schedule,
-                "family": "clamped-staircase", "spread": 0.0}
+                "family": "clamped-staircase", "spread": 0.0,
+                "route": "single-frame"}
         method = "staircase-limit"
     else:
-        def objective(theta):
-            return frame_cost(M, Frame(tuple(theta), dim), psi)
-
-        results = []
-        for start in _frame_starts(M, budget):
-            res = optimize.minimize(objective, np.asarray(start),
-                                    method="Nelder-Mead", options=nm_options)
-            angles = _canonical_angles(res.x)
-            val = float(objective(angles))
+        def priced(angles):
+            val = frame_cost(M, Frame(angles, dim), psi)
             if not np.isfinite(val):
                 raise NumericalFailureError(
                     "frame search hit a non-finite surface cost",
                     payload={"competitor": {"family": "clamped-staircase",
                                             "frame_angles": list(angles)}})
-            results.append((val, angles))
+            return val, angles
+
+        starts = _frame_starts(M, budget)
+        results = []
+        profile = getattr(psi, "normal_form", None)
+        if profile is not None and M.shape[0] == dim:
+            floor = float(profile(np.trace(M)))
+            ceiling = floor + 1e-12 * max(1.0, abs(floor))
+            results = [r for r in (priced(_canonical_angles(s)) for s in starts)
+                       if r[0] <= ceiling]
+        if results:
+            route, method = "trace-floor", "staircase-limit+trace-floor"
+        else:
+            route, method = "search", "staircase-limit+nelder-mead"
+
+            def objective(theta):
+                return frame_cost(M, Frame(tuple(theta), dim), psi)
+
+            for start in starts:
+                res = _nelder_mead(objective, start, budget, effort)
+                results.append(priced(_canonical_angles(res.x)))
         results.sort(key=lambda t: (round(t[0], 10), t[1]))
         surface_part, best_angles = results[0]
         frame = Frame(best_angles, dim)
-        meta = {"starts": len(results), "n_schedule": budget.n_schedule,
+        meta = {"starts": len(starts), "n_schedule": budget.n_schedule,
                 "family": "clamped-staircase",
-                "spread": float(results[-1][0] - results[0][0])}
-        method = "staircase-limit+nelder-mead"
+                "spread": float(results[-1][0] - results[0][0]),
+                "route": route}
+    meta.update(effort)
 
     dec = decompose_by_frame(M, frame)
     n_star = int(max(budget.n_schedule))
@@ -465,10 +533,11 @@ def estimate_relaxed_surface(jump, normal, psi, budget=None):
     factor s with tilted normal components q_up, q_dn averaging q / s costs
     (s / 2) (f(q_up) + f(q_dn)) >= s f(q / s) = f(q). Any other density in
     two or more dimensions is searched over two-plane tent profiles that
-    trade extra area for tilted normals, each priced by calling psi.
-    Stacks of parallel planes are not searched: for a one-homogeneous
-    density, fractions t_i of the jump cost sum_i t_i psi(jump, normal),
-    the midplane's cost.
+    trade extra area for tilted normals, each priced by calling psi; meta
+    records those Nelder-Mead runs (searches) and the ones ending
+    unconverged. Stacks of parallel planes are not searched: for a
+    one-homogeneous density, fractions t_i of the jump cost
+    sum_i t_i psi(jump, normal), the midplane's cost.
     """
     budget = budget or OptimizerBudget()
     lam = np.asarray(jump, dtype=float).reshape(-1)
@@ -479,12 +548,10 @@ def estimate_relaxed_surface(jump, normal, psi, budget=None):
     best_splits = ((1.0, 0.0),)
     best_label = "midplane"
     best_extra = {}
+    effort = {"searches": 0, "unconverged": 0}
 
     if getattr(psi, "normal_form", None) is None and dim >= 2:
         tangents = np.column_stack(geo.orthonormal_tangents(nu))
-        nm_options = {"maxiter": budget.max_iterations,
-                      "xatol": budget.simplex_tolerance,
-                      "fatol": budget.simplex_tolerance}
 
         def tent_cost(x):
             beta = x[1] if x.size > 1 else 0.0
@@ -496,8 +563,7 @@ def estimate_relaxed_surface(jump, normal, psi, budget=None):
         tent_starts.extend(np.asarray((((r + 1) * alphas) % 1.0) * 1.5)
                            for r in range(min(2, budget.restarts - 1)))
         for x0 in tent_starts:
-            res = optimize.minimize(tent_cost, x0, method="Nelder-Mead",
-                                    options=nm_options)
+            res = _nelder_mead(tent_cost, x0, budget, effort)
             val = float(tent_cost(res.x))
             if not np.isfinite(val):
                 raise NumericalFailureError(
@@ -516,7 +582,7 @@ def estimate_relaxed_surface(jump, normal, psi, budget=None):
     if best_splits is not None:
         competitor["splits"] = [[float(f), float(o)] for f, o in best_splits]
     competitor.update(best_extra)
-    meta = {"family": best_label}
+    meta = {"family": best_label, **effort}
     return CellSolution(value=best_value, kind="surface", splits=best_splits,
                         competitor=competitor, method="competitor-families",
                         meta=meta)

@@ -81,9 +81,8 @@ def _budget_from(params):
     if not isinstance(spec, dict):
         raise ConfigError("budget must be an object of OptimizerBudget fields")
     try:
-        return OptimizerBudget(**{k: tuple(v) if k == "n_schedule" else v
-                                  for k, v in spec.items()})
-    except TypeError as exc:
+        return OptimizerBudget(**spec)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad budget: {exc}") from exc
 
 

@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from sdrelax.cli import main
+from sdrelax.cli import main, run
+from sdrelax.errors import ConfigError
 from sdrelax.fields import evaluate, load_field
 
 
@@ -237,3 +238,43 @@ def test_stdout_is_used_when_no_output_path_is_given(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("# sdrelax sequence broken-ramp")
     assert "n,l1_error,singular_tv,energy" in out
+
+
+@pytest.mark.parametrize("budget", [
+    {"restarts": 0},
+    {"restarts": 2.5},
+    {"max_iterations": 0},
+    {"max_iterations": 1.5},
+    {"simplex_tolerance": -1},
+    {"simplex_tolerance": 0},
+    {"simplex_tolerance": float("inf")},
+    {"n_schedule": []},
+    {"n_schedule": [0, 4]},
+    {"n_schedule": [4, 8.5]},
+    {"n_schedule": 4},
+    {"certify": "false"},
+    {"certify": 1},
+    {"no_such_field": 1},
+])
+def test_bad_budgets_are_config_errors(tmp_path, capsys, budget):
+    config = {"command": "cell", "dim": 2,
+              "parameters": {"samples": 1, "budget": budget},
+              "output_path": os.path.join(tmp_path, "cell.csv")}
+    with pytest.raises(ConfigError):
+        run(config)
+    cfg = _write_config(tmp_path, "cell.json", config)
+    assert main(["--config", cfg]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
+def test_a_valid_budget_runs(tmp_path):
+    out = os.path.join(tmp_path, "cell.csv")
+    cfg = _write_config(tmp_path, "cell.json", {
+        "command": "cell", "dim": 2,
+        "parameters": {"samples": 1, "budget": {
+            "restarts": 3, "max_iterations": 50, "simplex_tolerance": 1e-8,
+            "n_schedule": [2, 4]}},
+        "output_path": out})
+    assert main(["--config", cfg]) == 0
+    assert len([l for l in _read_output(out).splitlines()
+                if not l.startswith("#")]) == 2
