@@ -27,16 +27,15 @@ competitor families whose energies have closed forms:
 Estimates are deterministic: restarts come from closed-form seeds and a
 low-discrepancy lattice, never from a random source.
 
-Densities declaring a normal_form profile f (Psi(jump, normal) =
-f(jump . normal)) are priced without calling Psi: the frame grid and
-frame_cost of a square M read f off the diagonal of R^T M R, the grid
-building that diagonal in stages from closed forms. Any other density is
-evaluated term by term.
+Every frame is priced by core.frame_cost, which calls Psi once per frame
+column. The one exception is the frame grid of a square M under a density
+declaring a normal_form profile f (Psi(jump, normal) = f(jump . normal)):
+it reads f off the diagonal of R^T M R, built in stages from closed forms.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
 
 import numpy as np
 from scipy import optimize
@@ -100,7 +99,7 @@ def _is_integer(value):
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _nelder_mead(fun, x0, budget, effort):
+def nelder_mead(fun, x0, budget, effort):
     """One simplex search under the budget, counted in the effort dict."""
     res = optimize.minimize(fun, np.asarray(x0, dtype=float), method="Nelder-Mead",
                             options={"maxiter": budget.max_iterations,
@@ -244,35 +243,6 @@ def _frame_starts(M, budget):
     return starts
 
 
-@lru_cache(maxsize=4)
-def _grid_rotations(dim, resolution):
-    """Stack of frame matrices for every grid angle combination."""
-    th = np.arange(resolution) * np.pi / resolution
-    c, s = np.cos(th), np.sin(th)
-    if dim == 2:
-        R = np.zeros((resolution, 2, 2))
-        R[:, 0, 0] = c
-        R[:, 1, 1] = c
-        R[:, 0, 1] = -s
-        R[:, 1, 0] = s
-        R.setflags(write=False)
-        return R
-
-    def givens_stack(i, j):
-        G = np.zeros((resolution, 3, 3))
-        G[:, 0, 0] = G[:, 1, 1] = G[:, 2, 2] = 1.0
-        G[:, i, i] = c
-        G[:, j, j] = c
-        G[:, i, j] = -s
-        G[:, j, i] = s
-        return G
-
-    R = np.einsum("aij,bjk,ckl->abcil", givens_stack(0, 1), givens_stack(0, 2),
-                  givens_stack(1, 2)).reshape(-1, 3, 3)
-    R.setflags(write=False)
-    return R
-
-
 def _rotated_diagonal(a, sym, b, c, s):
     """Diagonal of G^T [[a, .], [., b]] G for the Givens rotation (c, s).
 
@@ -315,27 +285,27 @@ def frame_grid_minimum(M, psi, resolution=None):
     """Cheapest grid frame for M and the value there, as (value, frame).
 
     Grid angles run through multiples of pi/resolution per Givens angle,
-    the flat grid index running fastest in the last angle. For a square M
-    and a density declaring normal_form the costs come from closed forms
-    for the diagonal of R^T M R, built in stages without a rotation stack;
-    any other density is priced by psi on every cached grid rotation, which
-    in 3-D holds resolution^3 matrices.
+    the flat grid index running fastest in the last angle; resolution is
+    None (the dimension's default) or an integer >= 1. For a square M and a
+    density declaring normal_form the costs come from closed forms for the
+    diagonal of R^T M R, built in stages; any other density is priced by
+    frame_cost at every grid frame, resolution^3 of them in 3-D.
     """
     M = as_matrix(M)
     dim = M.shape[1]
+    if resolution is not None and not (_is_integer(resolution) and resolution >= 1):
+        raise ConfigError(f"grid resolution must be an integer >= 1, not {resolution!r}")
     if dim == 1:
         frame = identity_frame(1)
-        return float(psi(M[:, 0], np.ones(1))), frame
+        return frame_cost(M, frame, psi), frame
     resolution = resolution or DEFAULT_GRID_RESOLUTION[dim]
     profile = getattr(psi, "normal_form", None)
     if profile is not None and M.shape[0] == dim:
         costs = _normal_form_grid_costs(M, profile, resolution)
     else:
-        R = _grid_rotations(dim, resolution)
-        costs = np.empty(len(R))
-        for r in range(len(R)):
-            amps = (M @ R[r]).T
-            costs[r] = sum(float(psi(amps[i], R[r][:, i])) for i in range(dim))
+        th = np.arange(resolution) * np.pi / resolution
+        costs = np.array([frame_cost(M, Frame(angles, dim), psi)
+                          for angles in itertools.product(th, repeat=ANGLE_COUNT[dim])])
     best = int(np.argmin(costs))
     if dim == 2:
         angles = (best * np.pi / resolution,)
@@ -381,7 +351,7 @@ def _laminate_minimum(W, B, budget, effort):
     starts.extend(2.0 * (((r + 1) * alphas) % 1.0) - 1.0
                   for r in range(max(1, budget.restarts - 2)))
     for z0 in starts:
-        res = _nelder_mead(objective, z0, budget, effort)
+        res = nelder_mead(objective, z0, budget, effort)
         val = float(objective(res.x))
         if not np.isfinite(val):
             raise NumericalFailureError(
@@ -441,7 +411,7 @@ def estimate_relaxed_bulk(A, B, densities, budget=None):
 
     if dim == 1:
         frame = identity_frame(1)
-        surface_part = float(psi(M[:, 0], np.ones(1)))
+        surface_part = frame_cost(M, frame, psi)
         meta = {"starts": 1, "n_schedule": budget.n_schedule,
                 "family": "clamped-staircase", "spread": 0.0,
                 "route": "single-frame"}
@@ -473,7 +443,7 @@ def estimate_relaxed_bulk(A, B, densities, budget=None):
                 return frame_cost(M, Frame(tuple(theta), dim), psi)
 
             for start in starts:
-                res = _nelder_mead(objective, start, budget, effort)
+                res = nelder_mead(objective, start, budget, effort)
                 results.append(priced(_canonical_angles(res.x)))
         results.sort(key=lambda t: (round(t[0], 10), t[1]))
         surface_part, best_angles = results[0]
@@ -563,7 +533,7 @@ def estimate_relaxed_surface(jump, normal, psi, budget=None):
         tent_starts.extend(np.asarray((((r + 1) * alphas) % 1.0) * 1.5)
                            for r in range(min(2, budget.restarts - 1)))
         for x0 in tent_starts:
-            res = _nelder_mead(tent_cost, x0, budget, effort)
+            res = nelder_mead(tent_cost, x0, budget, effort)
             val = float(tent_cost(res.x))
             if not np.isfinite(val):
                 raise NumericalFailureError(

@@ -15,6 +15,7 @@ JSON error report to stderr.
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -91,6 +92,14 @@ def _int_param(params, name, default, minimum=1):
     if not isinstance(value, (int, np.integer)) or value < minimum:
         raise ConfigError(f"parameter {name!r} must be an integer >= {minimum}")
     return int(value)
+
+
+def _float_param(params, name, default):
+    value = params.get(name, default)
+    numeric = isinstance(value, (int, float, np.integer, np.floating))
+    if isinstance(value, bool) or not numeric or not math.isfinite(value):
+        raise ConfigError(f"parameter {name!r} must be a finite number")
+    return float(value)
 
 
 def _dim_param(params, default):
@@ -181,7 +190,7 @@ def _cmd_cell(params, seed, jobs):
     kind = params.get("kind", "abs")
     if kind not in EXACT_KINDS:
         raise ConfigError(f"kind must be one of {EXACT_KINDS}")
-    scale = float(params.get("scale", 1.0))
+    scale = _float_param(params, "scale", 1.0)
     budget = _budget_from(params)
     psi = surface_density(params.get("surface_density", UNRELAXED_SURFACE[kind]))
     W0 = bulk_density(params.get("bulk_density", "zero"))
@@ -211,7 +220,7 @@ def _cmd_cell(params, seed, jobs):
 def _cmd_h_cell(params, seed, jobs):
     dim = _dim_param(params, 3)
     samples = _int_param(params, "samples", 20)
-    scale = float(params.get("scale", 1.0))
+    scale = _float_param(params, "scale", 1.0)
     budget = _budget_from(params)
     psi = surface_density(params.get("surface_density", "abs_normal_jump"))
     children = np.random.SeedSequence(seed).spawn(samples)
@@ -237,12 +246,13 @@ def _cmd_verify_expl(params, seed, jobs):
     kinds = params.get("kinds", list(EXACT_KINDS))
     if isinstance(kinds, str):
         kinds = [kinds]
-    if not kinds or any(k not in EXACT_KINDS for k in kinds):
+    if not (isinstance(kinds, list) and kinds and all(k in EXACT_KINDS for k in kinds)):
         raise ConfigError(f"kinds must be drawn from {EXACT_KINDS}")
-    scale = float(params.get("scale", 1.0))
+    scale = _float_param(params, "scale", 1.0)
     budget = _budget_from(params)
-    grid_resolution = params.get("grid_resolution")
-    tolerance = float(params.get("tolerance", 1e-6))
+    grid_resolution = (None if params.get("grid_resolution") is None
+                       else _int_param(params, "grid_resolution", None))
+    tolerance = _float_param(params, "tolerance", 1e-6)
     cases = _gradient_pairs(params, seed, 100, dim, scale)
 
     def work(i):
@@ -314,7 +324,7 @@ def _cmd_vpm(params, seed, jobs):
 def _cmd_design(params, seed, jobs):
     dim = _dim_param(params, 3)
     samples = _int_param(params, "samples", 10)
-    scale = float(params.get("scale", 1.0))
+    scale = _float_param(params, "scale", 1.0)
     budget = _budget_from(params)
     ds = DensitySet.design(
         bulk_density(params.get("bulk_density_0", "zero")),

@@ -179,7 +179,7 @@ class RankOneDecomposition:
 
 
 def _checked_amplitudes(M, frame):
-    """Validated M, the frame matrix R and M R, whose column i is M r_i.
+    """The frame matrix R and M R, whose column i is M r_i, for a validated M.
 
     Raises what decompose_by_frame promises: DimensionMismatchError for a
     frame of the wrong dimension, NonUnitNormalError when the columns of R
@@ -196,7 +196,7 @@ def _checked_amplitudes(M, frame):
     err = float(np.abs(MR @ R.T - M).max()) if M.size else 0.0
     if err > RECONSTRUCTION_TOL:
         raise ValueError(f"rank-one reconstruction off by {err:.3e}")
-    return M, R, MR
+    return R, MR
 
 
 def decompose_by_frame(M, frame):
@@ -205,7 +205,7 @@ def decompose_by_frame(M, frame):
     The i-th amplitude is M applied to the i-th column, which makes the
     reconstruction identity exact for any orthonormal frame.
     """
-    _, R, MR = _checked_amplitudes(M, frame)
+    R, MR = _checked_amplitudes(M, frame)
     return RankOneDecomposition(MR.T, R)
 
 
@@ -213,16 +213,12 @@ def frame_cost(M, frame, psi):
     """Total interfacial cost of transporting M along one frame.
 
     psi(jump, normal) is evaluated once per frame column with the rank-one
-    amplitude as the jump; this is the n -> infinity limit of the staircase
-    family built on that frame. For a square M and a density declaring
-    normal_form f the cost is sum_i f(r_i . M r_i), the profile applied to
-    the diagonal of R^T M R, with no psi call. Checks and errors are those
-    of decompose_by_frame.
+    amplitude M r_i as the jump and r_i as the normal; this is the
+    n -> infinity limit of the staircase family built on that frame. Every
+    density is priced this way. Checks and errors are those of
+    decompose_by_frame.
     """
-    M, R, MR = _checked_amplitudes(M, frame)
-    profile = getattr(psi, "normal_form", None)
-    if profile is not None and M.shape[0] == frame.dim:
-        return float(profile(np.einsum("ji,ji->i", R, MR)).sum())
+    R, MR = _checked_amplitudes(M, frame)
     return float(sum(psi(a, nu) for a, nu in zip(MR.T, R.T)))
 
 

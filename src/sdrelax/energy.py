@@ -43,13 +43,13 @@ class SurfaceDensity:
     Psi(jump, normal) = f(jump . normal), applied elementwise to arrays.
     A declared f is taken as nonnegative and one-homogeneous, hence convex;
     check_surface_axioms certifies it against fn and certifies both
-    properties (nonnegative, one_homogeneity). frame_cost and the staged
-    frame grid price with f alone; the bulk frame search of a square
-    A - B stops without a simplex search once a start costs the trace
-    floor f(tr(A - B)), which no frame undercuts since f is subadditive;
-    and the surface cell returns the midplane f(jump . normal) without a
-    search, since under these properties no stack of parallel planes and
-    no tent costs less.
+    properties (nonnegative, one_homogeneity). The staged frame grid of a
+    square matrix prices with f alone, while frame_cost always calls fn;
+    the bulk frame search of a square A - B stops without a simplex search
+    once a start costs the trace floor f(tr(A - B)), which no frame
+    undercuts since f is subadditive; and the surface cell returns the
+    midplane f(jump . normal) without a search, since under these
+    properties no stack of parallel planes and no tent costs less.
     """
 
     name: str

@@ -26,10 +26,9 @@ from functools import cached_property
 from itertools import combinations
 
 import numpy as np
-from scipy import optimize
 
-from .cell import CellSolution, OptimizerBudget, estimate_relaxed_bulk
-from .core import as_unit_vector
+from .cell import CellSolution, OptimizerBudget, estimate_relaxed_bulk, nelder_mead
+from .core import as_unit_vector, as_vector
 from .energy import DensitySet
 from .errors import DimensionMismatchError, MeshMismatchError
 from .fields import GridField, GridMesh, grid_face_facet
@@ -92,7 +91,8 @@ class DesignBoundaryData:
     """Boundary datum of the interface cell problem on the rotated cube.
 
     The + side of the cube (x . normal > 0) carries phase a and value c,
-    the - side phase b and value d.
+    the - side phase b and value d. Non-finite entries of c or d raise
+    ValueError.
     """
 
     a: int
@@ -107,8 +107,8 @@ class DesignBoundaryData:
             if v not in (0, 1):
                 raise ValueError(f"phase {name} must be 0 or 1, got {v!r}")
             object.__setattr__(self, name, int(v))
-        c = np.asarray(self.c, dtype=float).reshape(-1)
-        d = np.asarray(self.d, dtype=float).reshape(-1)
+        c = as_vector(self.c)
+        d = as_vector(self.d)
         if c.shape != d.shape:
             raise DimensionMismatchError("boundary values c and d must match in size")
         nu = as_unit_vector(self.normal)
@@ -295,7 +295,8 @@ def estimate_interface_cell(data, ds, budget=None):
     two jump planes each on three candidate slots. Plane positions only
     matter through coincidence, so patterns are enumerated exactly; the
     free intermediate deformation value of two-plane profiles is optimized
-    by Nelder-Mead from deterministic starts.
+    by Nelder-Mead from deterministic starts; meta records those runs
+    (searches) and the ones ending unconverged.
 
     Assumes Psi1_0, Psi1_1 and Psi2 are nonnegative (checked by the
     "nonnegative" entries of check_surface_axioms and
@@ -307,9 +308,7 @@ def estimate_interface_cell(data, ds, budget=None):
     budget = budget or OptimizerBudget()
     best = None
     scored = set()
-    nm_options = {"maxiter": budget.max_iterations,
-                  "xatol": budget.simplex_tolerance,
-                  "fatol": budget.simplex_tolerance}
+    effort = {"searches": 0, "unconverged": 0}
     for chi_pat in _chi_patterns(data.a, data.b):
         for u_pat in _u_patterns(data.c, data.d):
             if best is not None and len(chi_pat) >= best[0] - 1e-12:
@@ -326,8 +325,7 @@ def estimate_interface_cell(data, ds, budget=None):
                 value = np.inf
                 w_best = None
                 for w0 in (0.5 * (data.c + data.d), data.d.copy(), data.c.copy()):
-                    res = optimize.minimize(cost_of, w0, method="Nelder-Mead",
-                                            options=nm_options)
+                    res = nelder_mead(cost_of, w0, budget, effort)
                     if res.fun < value - 1e-15:
                         value = float(res.fun)
                         w_best = np.asarray(res.x, dtype=float)
@@ -336,7 +334,7 @@ def estimate_interface_cell(data, ds, budget=None):
     value, chi_pat, u_pat, w_best = best
     intermediate = None if w_best is None else tuple(float(x) for x in w_best)
     meta = {"slots": _SLOTS, "chi_slots": chi_pat, "u_slots": u_pat,
-            "intermediate": intermediate}
+            "intermediate": intermediate, **effort}
     competitor = {"family": "layered-planes",
                   "phase_jump_slots": [_SLOTS[i] for i in chi_pat],
                   "deformation_jump_slots": [_SLOTS[i] for i in u_pat],

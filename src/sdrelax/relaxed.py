@@ -14,6 +14,7 @@ carries the two verification reports built on them:
   the absolute one and the signed disarrangement volume and jump terms.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ from .core import (as_matrix, relaxed_bulk_abs, relaxed_bulk_minus,
                    relaxed_bulk_plus, relaxed_surface_abs,
                    relaxed_surface_minus, relaxed_surface_plus)
 from .energy import DensitySet, bulk_density, surface_density
-from .errors import DensityError, SandwichViolationError
+from .errors import ConfigError, DensityError, SandwichViolationError
 from .fields import jump_measure
 
 EXACT_KINDS = ("abs", "plus", "minus")
@@ -191,6 +192,8 @@ def verify_trace_sandwich(A, B, kinds=EXACT_KINDS, budget=None,
     for kind in kinds:
         if kind not in EXACT_KINDS:
             raise DensityError(f"unknown sandwich flavor {kind!r}")
+    if not math.isfinite(tolerance):
+        raise ConfigError(f"sandwich tolerance must be finite, not {tolerance!r}")
     A = as_matrix(A)
     B = as_matrix(B, dim=A.shape[1])
     entries = []

@@ -1,6 +1,7 @@
 """Cell problems: frame search, refinement estimates, competitors."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -21,17 +22,24 @@ from sdrelax.cell import (
     CellSolution,
     OptimizerBudget,
     _canonical_angles,
-    _grid_rotations,
     realize_bulk_competitor,
     realize_surface_competitor,
 )
 from sdrelax.core import Frame, frame_cost
-from sdrelax.energy import (BulkDensity, DensitySet, SurfaceDensity, bulk_density,
-                            check_surface_axioms, surface_density)
+from sdrelax.energy import (DENSITY_KINDS, BulkDensity, DensitySet, SurfaceDensity,
+                            bulk_density, check_surface_axioms, surface_density)
 from sdrelax.errors import ConfigError, NumericalFailureError
 
 PSI_ABS = surface_density("abs_normal_jump")
 DS_ABS = DensitySet.simple(bulk_density("zero"), PSI_ABS)
+
+# |jump . normal| over the leading components both vectors have: it
+# declares normal_form, and np.trace(A - B) exists, for non-square pairs too.
+PSI_LEADING = SurfaceDensity(
+    "leading_abs_normal_jump",
+    lambda lam, nu: abs(float(lam[:nu.size] @ nu[:lam.size])),
+    normal_form=np.abs)
+DS_LEADING = DensitySet.simple(bulk_density("zero"), PSI_LEADING)
 
 
 def _rank_one_double_well():
@@ -93,10 +101,39 @@ def test_frame_grid_in_three_dimensions():
     assert value >= abs(np.trace(M)) - 1e-10
 
 
+@functools.lru_cache(maxsize=4)
+def _grid_rotations(dim, resolution):
+    """Stack of frame matrices for every grid angle combination."""
+    th = np.arange(resolution) * np.pi / resolution
+    c, s = np.cos(th), np.sin(th)
+    if dim == 2:
+        R = np.zeros((resolution, 2, 2))
+        R[:, 0, 0] = c
+        R[:, 1, 1] = c
+        R[:, 0, 1] = -s
+        R[:, 1, 0] = s
+        R.setflags(write=False)
+        return R
+
+    def givens_stack(i, j):
+        G = np.zeros((resolution, 3, 3))
+        G[:, 0, 0] = G[:, 1, 1] = G[:, 2, 2] = 1.0
+        G[:, i, i] = c
+        G[:, j, j] = c
+        G[:, i, j] = -s
+        G[:, j, i] = s
+        return G
+
+    R = np.einsum("aij,bjk,ckl->abcil", givens_stack(0, 1), givens_stack(0, 2),
+                  givens_stack(1, 2)).reshape(-1, 3, 3)
+    R.setflags(write=False)
+    return R
+
+
 def _stack_grid_costs(M, psi, resolution):
     """Grid costs from the full rotation stack, as the grid was first built."""
     R = _grid_rotations(M.shape[1], resolution)
-    if psi.normal_form is not None:
+    if psi.normal_form is not None and M.shape[0] == M.shape[1]:
         return np.sum(psi.normal_form(np.einsum("rji,jk,rki->ri", R, M, R)), axis=1)
     return np.array([sum(float(psi(a, nu)) for a, nu in zip((M @ Rr).T, Rr.T))
                      for Rr in R])
@@ -117,24 +154,57 @@ def test_staged_grid_matches_the_rotation_stack(dim, resolution):
             assert frame_cost(M, frame, psi) == pytest.approx(value, abs=1e-12)
 
 
-def test_normal_form_grid_builds_no_rotation_stack():
-    before = _grid_rotations.cache_info()
-    frame_grid_minimum(np.random.default_rng(68).normal(size=(3, 3)), PSI_ABS)
-    after = _grid_rotations.cache_info()
-    assert (after.hits, after.misses) == (before.hits, before.misses)
-
-
 def test_grid_without_normal_form_prices_every_rotation():
-    psi = surface_density("jump_magnitude")
+    # frame_cost at every grid frame equals psi over the kept rotation-stack reference.
+    magnitude = surface_density("jump_magnitude")
     rng = np.random.default_rng(69)
-    for dim in (2, 3):
-        M = rng.normal(size=(dim, dim))
-        costs = _stack_grid_costs(M, psi, 6)
-        value, frame = frame_grid_minimum(M, psi, resolution=6)
-        best = int(np.argmin(costs))
-        assert value == costs[best]
-        multi = np.unravel_index(best, (6,) * (1 if dim == 2 else 3))
-        assert frame.angles == tuple(k * np.pi / 6 for k in multi)
+    for psi, shape, resolution in ((magnitude, (2, 2), 6), (magnitude, (2, 2), None),
+                                   (magnitude, (3, 3), 6), (magnitude, (3, 3), 20),
+                                   (PSI_LEADING, (3, 2), None), (PSI_LEADING, (2, 3), 12)):
+        dim = shape[1]
+        n = resolution or DEFAULT_GRID_RESOLUTION[dim]
+        for _ in range(2):
+            M = rng.normal(size=shape)
+            costs = _stack_grid_costs(M, psi, n)
+            value, frame = frame_grid_minimum(M, psi, resolution)
+            best = int(np.argmin(costs))
+            assert value == costs[best]
+            multi = np.unravel_index(best, (n,) * (1 if dim == 2 else 3))
+            assert frame.angles == tuple(k * np.pi / n for k in multi)
+            assert frame_cost(M, frame, psi) == value
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_one_dimensional_grid_and_estimate_price_the_identity(rows):
+    # The single frame is the identity: the value is psi at the one column
+    # with the unit normal.
+    rng = np.random.default_rng(70 + rows)
+    for name in DENSITY_KINDS["surface"]:
+        psi = surface_density(name)
+        ds = DensitySet.simple(bulk_density("zero"), psi)
+        for _ in range(4):
+            A, B = rng.normal(size=(2, rows, 1))
+            M = A - B
+            try:
+                expected = float(psi(M[:, 0], np.ones(1)))
+            except ValueError:
+                with pytest.raises(ValueError):
+                    frame_grid_minimum(M, psi)
+                continue
+            value, frame = frame_grid_minimum(M, psi)
+            assert (value, frame) == (expected, identity_frame(1))
+            sol = estimate_relaxed_bulk(A, B, ds)
+            assert sol.value == expected and sol.meta["surface_term"] == expected
+            assert sol.meta["route"] == "single-frame"
+
+
+@pytest.mark.parametrize("resolution", [0, -3, 2.5, "x", True])
+def test_grid_resolution_must_be_a_positive_integer(resolution):
+    for M in (np.eye(2), np.eye(3), np.eye(1)):
+        with pytest.raises(ConfigError):
+            frame_grid_minimum(M, PSI_ABS, resolution)
+    M = np.diag([1.0, -0.5])
+    assert frame_grid_minimum(M, PSI_ABS, np.int64(6)) == frame_grid_minimum(M, PSI_ABS, 6)
 
 
 def test_canonical_angles_price_like_the_raw_angles():
@@ -541,13 +611,6 @@ def _scaled_pair(rng, shape):
     return scale * rng.normal(size=shape), scale * rng.normal(size=shape)
 
 
-# |jump . normal| over the leading components both vectors have: it
-# declares normal_form, and np.trace(A - B) exists, for non-square pairs too.
-PSI_LEADING = SurfaceDensity(
-    "leading_abs_normal_jump",
-    lambda lam, nu: abs(float(lam[:nu.size] @ nu[:lam.size])),
-    normal_form=np.abs)
-DS_LEADING = DensitySet.simple(bulk_density("zero"), PSI_LEADING)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

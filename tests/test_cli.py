@@ -278,3 +278,34 @@ def test_a_valid_budget_runs(tmp_path):
     assert main(["--config", cfg]) == 0
     assert len([l for l in _read_output(out).splitlines()
                 if not l.startswith("#")]) == 2
+
+
+@pytest.mark.parametrize("command, name, value", [
+    *((command, "scale", value)
+      for command in ("cell", "h-cell", "verify-expl", "design")
+      for value in (float("nan"), float("inf"), "x", True)),
+    *(("verify-expl", "tolerance", value)
+      for value in (float("nan"), float("-inf"), "x", None)),
+    *(("verify-expl", "grid_resolution", value) for value in (0, -3, 2.5, "x")),
+    ("verify-expl", "kinds", 5),
+])
+def test_bad_numbers_are_config_errors(tmp_path, capsys, command, name, value):
+    config = {"command": command, "dim": 2,
+              "parameters": {"samples": 1, name: value},
+              "output_path": os.path.join(tmp_path, "out.csv")}
+    with pytest.raises(ConfigError):
+        run(config)
+    cfg = _write_config(tmp_path, "bad.json", config)
+    assert main(["--config", cfg]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert not os.path.exists(config["output_path"])
+
+
+def test_integral_numbers_run(tmp_path):
+    out = os.path.join(tmp_path, "verify.csv")
+    run({"command": "verify-expl", "dim": 2,
+         "parameters": {"samples": 1, "scale": 2, "tolerance": 1,
+                        "grid_resolution": 12, "kinds": ["abs"]},
+         "output_path": out})
+    assert len([l for l in _read_output(out).splitlines()
+                if not l.startswith("#")]) == 2

@@ -156,10 +156,9 @@ def test_frame_cost_dominates_trace_for_all_frames():
 
 
 def test_frame_cost_matches_the_decomposition_route():
-    # Normal-form densities price square M from the diagonal of R^T M R;
-    # every density must agree with psi summed over the rank-one terms, and
-    # where psi cannot take the terms (a normal jump of a non-square M) the
-    # error must be the same.
+    # frame_cost calls psi on the same rank-one terms as decompose_by_frame,
+    # so every density agrees exactly, and where psi cannot take the terms
+    # (a normal jump of a non-square M) the error is the same.
     rng = np.random.default_rng(16)
     for name in DENSITY_KINDS["surface"]:
         psi = surface_density(name)
@@ -175,7 +174,7 @@ def test_frame_cost_matches_the_decomposition_route():
                         with pytest.raises(ValueError):
                             frame_cost(M, frame, psi)
                         continue
-                    assert frame_cost(M, frame, psi) == pytest.approx(expected, abs=1e-12)
+                    assert frame_cost(M, frame, psi) == expected
 
 
 def test_frame_cost_raises_what_decompose_raises():

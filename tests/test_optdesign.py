@@ -130,6 +130,14 @@ def test_interface_cell_boundary_data_validation():
     assert np.allclose(data.jump, c)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_interface_cell_rejects_non_finite_values(bad):
+    nu = np.array([1.0, 0.0])
+    for c, d in (([bad, 0.0], [0.0, 0.0]), ([0.0, 0.0], [0.0, bad])):
+        with pytest.raises(ValueError, match="finite"):
+            DesignBoundaryData(1, 1, c, d, nu)
+
+
 def test_interface_cell_vanishes_without_any_jump():
     nu = np.array([0.0, 1.0])
     c = np.array([0.3, 0.4])
@@ -344,14 +352,16 @@ def test_interface_cell_matches_the_full_enumeration(dim, gap, ds):
 
 @pytest.fixture
 def minimize_calls(monkeypatch):
+    """res.success of every scipy.optimize.minimize call, in call order."""
     calls = []
     real = optimize.minimize
 
     def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+        res = real(*args, **kwargs)
+        calls.append(bool(res.success))
+        return res
 
-    monkeypatch.setattr(optdesign.optimize, "minimize", counted)
+    monkeypatch.setattr(optimize, "minimize", counted)
     return calls
 
 
@@ -377,3 +387,22 @@ def test_interface_cell_skips_searches_that_cannot_win(minimize_calls):
                                   DS_DESIGN)
     assert sol.value < 2.0
     assert 0 < len(minimize_calls) <= 3
+
+
+@pytest.mark.parametrize("budget", [None, OptimizerBudget(max_iterations=3)],
+                         ids=["default", "three-iterations"])
+def test_interface_cell_counts_its_searches(minimize_calls, budget):
+    rng = np.random.default_rng(91)
+    c = np.array([0.3, 0.4])
+    for a, b, d in ((0, 1, c), (1, 1, c), (0, 1, np.array([-0.5, 1.1])),
+                    (1, 1, np.array([-0.5, 1.1])), (0, 0, rng.normal(size=2)),
+                    (1, 0, rng.normal(size=2))):
+        minimize_calls.clear()
+        sol = estimate_interface_cell(DesignBoundaryData(a, b, c, d, np.array([0.6, 0.8])),
+                                      DS_DESIGN, budget)
+        assert sol.meta["searches"] == len(minimize_calls)
+        assert sol.meta["unconverged"] == minimize_calls.count(False)
+        if budget is not None:
+            # Three iterations leave every search unconverged.
+            assert sol.meta["unconverged"] == sol.meta["searches"]
+    assert sol.meta["searches"] > 0

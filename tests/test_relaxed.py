@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sdrelax.errors import SandwichViolationError
+from sdrelax.errors import ConfigError, SandwichViolationError
 from sdrelax.fields import (
     broken_ramp_deformation,
     deck_of_cards_deformation,
@@ -102,6 +102,13 @@ def test_sandwich_violation_raises_with_evidence():
     names = {v[1] for v in report.violations}
     assert names <= {"grid_below_lower", "estimate_below_lower"}
     assert len(report.violations) > 0
+
+
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), float("-inf")])
+def test_sandwich_tolerance_must_be_finite(tolerance):
+    # A NaN tolerance would make every floor comparison False and pass silently.
+    with pytest.raises(ConfigError):
+        verify_trace_sandwich(np.eye(2), np.zeros((2, 2)), tolerance=tolerance)
 
 
 def test_plus_minus_identity_on_the_worked_examples():
