@@ -89,7 +89,8 @@ def _budget_from(params):
 
 def _int_param(params, name, default, minimum=1):
     value = params.get(name, default)
-    if not isinstance(value, (int, np.integer)) or value < minimum:
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < minimum):
         raise ConfigError(f"parameter {name!r} must be an integer >= {minimum}")
     return int(value)
 

@@ -16,7 +16,10 @@ reference coordinates and store the rotation; facet normals are reported in
 physical coordinates. Facet integrals are exact for piecewise-affine jump
 data: faces are subdivided along every crossing jump plane and along the
 zero line of the normal jump, and a degree-2 rule integrates each affine
-piece exactly.
+piece exactly. Facets are built as arrays: all pieces of a face are clipped,
+integrated and split in batches (geometry's padded polygon layout), the
+jump is evaluated once per face on all piece centroids, and all plane
+sections of a jump family come from one batched call.
 """
 
 import json
@@ -169,47 +172,101 @@ class Facet:
 # ---------------------------------------------------------------------------
 # Facet quadrature over one planar face with piecewise-affine jump data.
 
-def _face_pieces(dim, free_bounds, cut_lines):
-    """Subdivide a face into convex pieces along the given cut lines.
+def _face_pieces(dim, free_bounds, cut_families):
+    """Subdivide a face into convex pieces along every crossing jump plane.
 
-    Pieces are returned in free coordinates: intervals for 2-d domains,
-    convex polygons for 3-d domains, a single empty tuple for 1-d.
+    cut_families lists (g, cs) pairs, one per family of parallel cut lines
+    {g . w = c} in free coordinates. Pieces come back in the padded layout
+    of geo.clip_polygons, as (verts, counts): intervals (2 vertices) for
+    2-d domains, convex polygons for 3-d domains, one vertex-free piece
+    for 1-d.
     """
     if dim == 1:
-        return [()]
+        return np.zeros((1, 1, 0)), np.ones(1, dtype=int)
     if dim == 2:
         (a, b), = free_bounds
-        cuts = []
-        for g, c in cut_lines:
-            if abs(g[0]) > 1e-13:
-                cuts.append(c / g[0])
-        return geo.subdivide_interval(a, b, cuts)
+        cuts = [cs / g[0] for g, cs in cut_families if abs(g[0]) > 1e-13]
+        knots = np.array([a, b], dtype=float)
+        if cuts:
+            cuts = np.sort(np.concatenate(cuts))
+            knots = np.concatenate(([a], cuts[(a + 1e-14 < cuts) & (cuts < b - 1e-14)], [b]))
+        return np.array([knots[:-1], knots[1:]]).T[:, :, None], np.full(len(knots) - 1, 2)
     (a0, b0), (a1, b1) = free_bounds
-    polys = [np.array([[a0, a1], [b0, a1], [b0, b1], [a0, b1]])]
-    for g, c in cut_lines:
-        nxt = []
-        for poly in polys:
-            vals = poly @ g - c
-            if vals.min() > -1e-13 or vals.max() < 1e-13:
-                nxt.append(poly)
-                continue
-            below, above = geo.split_polygon_by_line(poly, g, c)
-            for part in (below, above):
-                if len(part) >= 3 and geo.polygon_area2(part) > geo.MEASURE_EPS:
-                    nxt.append(part)
-        polys = nxt
-    return polys
+    verts = np.array([[[a0, a1], [b0, a1], [b0, b1], [a0, b1]]], dtype=float)
+    counts = np.array([4])
+    for g, cs in cut_families:
+        verts, counts = _cut_by_family(verts, counts, g, cs)
+    return verts, counts
 
 
-def _piece_quadrature(dim, piece):
-    """Degree-2 nodes (free coordinates) and weights of one face piece."""
+def _cut_by_family(verts, counts, g, cs):
+    """Cut convex polygons along the lines {g . w = c}, c in increasing cs.
+
+    A line cuts a polygon when the polygon reaches 1e-13 past it on both
+    sides. A polygon cut by m lines becomes its m + 1 slabs, in order, each
+    clipped by its bounding lines with a 1e-14 overlap; all slabs of all
+    polygons are clipped in one batch, and slivers of area at most
+    MEASURE_EPS are dropped.
+    """
+    live = np.arange(verts.shape[1]) < counts[:, None]
+    proj = verts @ g
+    lo = np.where(live, proj, np.inf).min(axis=1)
+    hi = np.where(live, proj, -np.inf).max(axis=1)
+    cuts = (lo[:, None] - cs <= -1e-13) & (hi[:, None] - cs >= 1e-13)
+    m = cuts.sum(axis=1)
+    if not m.any():
+        return verts, counts
+    rows = np.repeat(np.arange(len(counts)), m + 1)
+    slab = np.arange(rows.size) - np.repeat(np.cumsum(m + 1) - (m + 1), m + 1)
+    line = cuts.argmax(axis=1)[rows] + slab  # the line bounding each slab above
+    bounds = np.append(cs, np.inf)
+    floor = np.where(slab > 0, bounds[line - 1] - 1e-14, -np.inf)
+    ceiling = np.where(slab < m[rows], bounds[line] + 1e-14, np.inf)
+    verts, counts = geo.clip_polygons(verts[rows], counts[rows], -g, -floor)
+    verts, counts = geo.clip_polygons(verts, counts, g, ceiling)
+    keep = (counts >= 3) & (geo.polygon_areas2(verts, counts) > geo.MEASURE_EPS)
+    return verts[keep], counts[keep]
+
+
+def _piece_rule(dim, verts, counts):
+    """Degree-2 (nodes, weights, owner) over face pieces, nodes in free
+    coordinates and owner the piece each node belongs to."""
     if dim == 1:
-        return np.zeros((1, 0)), np.ones(1)
+        return np.zeros((len(counts), 0)), np.ones(len(counts)), np.arange(len(counts))
     if dim == 2:
-        a, b = piece
-        x, w = geo.interval_quadrature(a, b, order=4)
-        return x.reshape(-1, 1), w
-    return geo.polygon_quadrature2(piece)
+        x, w = geo.gauss_rule(4)
+        a = verts[:, 0]
+        h = verts[:, 1] - a
+        return ((a + h * x).reshape(-1, 1), (h * w).reshape(-1),
+                np.arange(len(counts)).repeat(len(x)))
+    return geo.fan_quadrature2(verts, counts)
+
+
+def _halves(dim, verts, counts, g, rhs):
+    """Halves of the pieces that their own line {g . w = rhs[p]} crosses.
+
+    Returns (split, verts, counts, owner): split marks the crossed pieces;
+    the halves come as all below halves, then all above halves, each in
+    piece order, and owner names the piece of each half.
+    """
+    if dim == 2:
+        a, b = verts[:, 0, 0], verts[:, 1, 0]
+        root = rhs / g[0]
+        split = (a + 1e-13 < root) & (root < b - 1e-13)
+        a, b, root = a[split], b[split], root[split]
+        halves = np.stack([np.concatenate([a, root]), np.concatenate([root, b])], axis=1)
+        h_verts, h_counts = halves[:, :, None], np.full(len(halves), 2)
+    else:
+        live = np.arange(verts.shape[1]) < counts[:, None]
+        vals = verts @ g - rhs[:, None]
+        split = ((np.where(live, vals, np.inf).min(axis=1) < -1e-13)
+                 & (np.where(live, vals, -np.inf).max(axis=1) > 1e-13))
+        v, n, r = verts[split], counts[split], rhs[split]
+        h_verts, h_counts = geo.clip_polygons(
+            np.concatenate([v, v]), np.concatenate([n, n]),
+            np.repeat([g, -g], len(n), axis=0), np.concatenate([r + 1e-14, -(r - 1e-14)]))
+    owner = np.flatnonzero(split)
+    return split, h_verts, h_counts, np.concatenate([owner, owner])
 
 
 def _lift(free_w, axis, fixed, dim):
@@ -222,66 +279,65 @@ def _lift(free_w, axis, fixed, dim):
     return out
 
 
-def _facet_from_face(dim, axis, fixed, free_bounds, cut_lines, normal_phys,
+def _facet_from_face(dim, axis, fixed, free_bounds, cut_families, normal_phys,
                      jump_centroid, jump_grad_free, rotation, plane_offset,
                      keep_all=False):
     """Exact facet quadrature for a face whose jump is affine per piece.
 
-    jump_centroid maps reference points (m, dim) to jumps (m, codim);
-    jump_grad_free is the (codim, dim-1) in-face jump gradient, constant
-    over the face. Each piece gets one quadrature, whose weights give its
-    measure and centroid; jump_centroid is evaluated once, at that
-    centroid, and every node jump follows from it and jump_grad_free. A
-    piece on which the normal jump changes sign is split along its zero
-    line, so one-sign densities integrate exactly; only the two halves get
-    quadratures of their own. keep_all retains faces whose jump vanishes
-    (their quadrature geometry is still wanted when another field jumps
-    across the same face).
+    cut_families lists the (g, cs) families of jump lines crossing the face
+    in free coordinates; jump_centroid maps reference points (m, dim) to
+    jumps (m, codim); jump_grad_free is the (codim, dim-1) in-face jump
+    gradient, constant over the face. The face is cut into pieces family by
+    family, each family in one batch of clips, and one batched quadrature
+    covers every piece: its weights give each piece's measure and centroid,
+    and jump_centroid is called once per face, on all piece centroids. Every
+    node jump follows from its piece's centroid jump and jump_grad_free. The
+    pieces on which the normal jump changes sign are split along their zero
+    lines in one more batch, so one-sign densities integrate exactly; only
+    those halves get a quadrature of their own, again in one call. keep_all
+    retains faces whose jump vanishes (their quadrature geometry is still
+    wanted when another field jumps across the same face).
     """
+    verts, counts = _face_pieces(dim, free_bounds, cut_families)
+    nodes, wts, owner = _piece_rule(dim, verts, counts)
+    measure = np.bincount(owner, wts, minlength=len(counts))
+    kept = measure > geo.MEASURE_EPS
+    if not kept.all():
+        if not kept.any():
+            return None
+        on = kept[owner]
+        verts, counts, measure = verts[kept], counts[kept], measure[kept]
+        nodes, wts, owner = nodes[on], wts[on], (np.cumsum(kept) - 1)[owner[on]]
+    sums = np.array([np.bincount(owner, wts * x, minlength=len(counts)) for x in nodes.T])
+    w_c = sums.T.reshape(len(counts), dim - 1) / measure[:, None]
+    j_c = jump_centroid(_lift(w_c, axis, fixed, dim))
+
+    total_area = float(measure.sum())
     s_grad = jump_grad_free.T @ normal_phys if dim > 1 else np.zeros(0)
-    may_split = dim > 1 and float(np.linalg.norm(s_grad)) > 1e-13
-
-    all_nodes, all_wts, all_jumps = [], [], []
-    total_area = 0.0
-    for piece in _face_pieces(dim, free_bounds, cut_lines):
-        nodes, wts = _piece_quadrature(dim, piece)
-        measure = float(wts.sum())
-        if measure <= geo.MEASURE_EPS:
-            continue
-        w_c = (wts @ nodes) / measure
-        j_c = jump_centroid(_lift(w_c.reshape(1, -1), axis, fixed, dim))[0]
-        parts = [(nodes, wts)]
-        if may_split:
-            # The normal jump normal . j_c + s_grad . (w - w_c) vanishes on
-            # the line s_grad . w = rhs.
-            rhs = float(s_grad @ w_c) - float(normal_phys @ j_c)
-            if dim == 2:
-                a, b = piece
-                root = rhs / s_grad[0]
-                if a + 1e-13 < root < b - 1e-13:
-                    parts = [_piece_quadrature(2, (a, root)),
-                             _piece_quadrature(2, (root, b))]
-            else:
-                vals = piece @ s_grad - rhs
-                if vals.min() < -1e-13 < 1e-13 < vals.max():
-                    parts = [_piece_quadrature(3, half) for half in
-                             geo.split_polygon_by_line(piece, s_grad, rhs)]
-        for p_nodes, p_wts in parts:
-            p_measure = float(p_wts.sum())
-            if p_measure <= geo.MEASURE_EPS:
-                continue
-            all_nodes.append(p_nodes)
-            all_wts.append(p_wts)
-            all_jumps.append(j_c[None, :] + (p_nodes - w_c) @ jump_grad_free.T)
-            total_area += p_measure
-
-    if not all_nodes:
+    if float(s_grad @ s_grad) > 1e-26:  # |s_grad| > 1e-13
+        # The normal jump normal . j_c + s_grad . (w - w_c) vanishes on the
+        # line s_grad . w = rhs.
+        rhs = w_c @ s_grad - j_c @ normal_phys
+        split, h_verts, h_counts, h_owner = _halves(dim, verts, counts, s_grad, rhs)
+        if split.any():
+            h_nodes, h_wts, h_idx = _piece_rule(dim, h_verts, h_counts)
+            h_measure = np.bincount(h_idx, h_wts, minlength=len(h_counts))
+            on = h_measure[h_idx] > geo.MEASURE_EPS
+            total_area = (float(measure[~split].sum())
+                          + float(h_measure[h_measure > geo.MEASURE_EPS].sum()))
+            # Back into piece order, each piece's below half before its above.
+            whole = ~split[owner]
+            owner = np.concatenate([owner[whole], h_owner[h_idx[on]]])
+            order = np.argsort(owner, kind="stable")
+            owner = owner[order]
+            nodes = np.concatenate([nodes[whole], h_nodes[on]])[order]
+            wts = np.concatenate([wts[whole], h_wts[on]])[order]
+    if not len(wts):
         return None
-    pts = _lift(np.vstack(all_nodes), axis, fixed, dim)
+    jumps = j_c[owner] + (nodes - w_c[owner]) @ jump_grad_free.T
+    pts = _lift(nodes, axis, fixed, dim)
     if rotation is not None:
         pts = pts @ rotation.T
-    wts = np.concatenate(all_wts)
-    jumps = np.vstack(all_jumps)
     spread = float(np.max(np.abs(jumps - jumps[0])))
     const = _readonly(jumps[0]) if spread <= 1e-13 else None
     if (not keep_all and const is not None
@@ -321,6 +377,30 @@ def grid_face_facet(u, face, keep_all=False, quick_reject=False):
 
     return _facet_from_face(u.dim, axis, fixed, bounds, [], u.mesh.face_normal(axis),
                             jump_centroid, grad_free, R, fixed, keep_all=keep_all)
+
+
+def _family_facets(fam, box, rotation):
+    """Constant-jump facets of one family's planes inside a box.
+
+    All plane sections of the family come from one geo.plane_sections call;
+    each facet carries one node, the mean of its section's corners.
+    """
+    measures, verts, counts = geo.plane_sections(box, fam.normal_ref, fam.offsets)
+    live = np.arange(verts.shape[1]) < counts[:, None]
+    centroids = (verts * live[..., None]).sum(axis=1) / np.maximum(counts, 1)[:, None]
+    normal = fam.normal_ref
+    if rotation is not None:
+        normal = rotation @ normal
+        centroids = centroids @ rotation.T
+    normal = _readonly(normal)
+    jumping = np.max(np.abs(fam.jumps), axis=1) > JUMP_TOL
+    return [Facet(normal=normal, area=float(measures[k]),
+                  quad_points=_readonly(centroids[k:k + 1]),
+                  quad_weights=_readonly(measures[k:k + 1]),
+                  quad_jumps=_readonly(fam.jumps[k:k + 1]),
+                  constant_jump=_readonly(fam.jumps[k]),
+                  plane_axis=None, plane_offset=float(fam.offsets[k]))
+            for k in np.flatnonzero(jumping & (counts > 0))]
 
 
 # ---------------------------------------------------------------------------
@@ -550,24 +630,8 @@ class StepField:
     @cached_property
     def _facets(self):
         out = []
-        box = self.inner_box
-        R = self.rotation
         for fam in self.families:
-            normal_phys = fam.normal_ref if R is None else R @ fam.normal_ref
-            for c, jump in zip(fam.offsets, fam.jumps):
-                if float(np.max(np.abs(jump))) <= JUMP_TOL:
-                    continue
-                measure, verts = geo.plane_section(box, fam.normal_ref, float(c))
-                if measure <= 0.0:
-                    continue
-                centroid_ref = verts.mean(axis=0)
-                pt = centroid_ref if R is None else R @ centroid_ref
-                out.append(Facet(normal=_readonly(normal_phys), area=measure,
-                                 quad_points=_readonly(pt.reshape(1, -1)),
-                                 quad_weights=_readonly([measure]),
-                                 quad_jumps=_readonly(jump.reshape(1, -1)),
-                                 constant_jump=_readonly(jump),
-                                 plane_axis=None, plane_offset=float(c)))
+            out.extend(_family_facets(fam, self.inner_box, self.rotation))
         if self.clamp is not None:
             out.extend(self._clamp_facets())
         return tuple(out)
@@ -589,13 +653,11 @@ class StepField:
                 # clamp layer, so jump = outer datum - inner trace.
                 normal = side * np.eye(dim)[axis]
                 inward = -normal
-                cuts = []
-                for fam in self.families if free_axes else ():
-                    g_free = fam.normal_ref[free_axes]
-                    if float(np.max(np.abs(g_free))) < 1e-13:
-                        continue  # plane parallel to the face
-                    for c in fam.offsets:
-                        cuts.append((g_free, float(c) - fam.normal_ref[axis] * fixed))
+                # Planes parallel to the face do not cut it.
+                cuts = [(fam.normal_ref[free_axes],
+                         fam.offsets - fam.normal_ref[axis] * fixed)
+                        for fam in (self.families if free_axes else ())
+                        if float(np.max(np.abs(fam.normal_ref[free_axes]))) >= 1e-13]
 
                 def jump_centroid(pts_ref, _in=inward):
                     tr = self._inner_values(pts_ref, face_limit=_in)
@@ -709,7 +771,8 @@ def l1_distance(u, v, order=4, refine=1):
     higher dimensions the integration grid refines along every axis-aligned
     breakpoint of both fields and applies a tensor Gauss rule of the given
     order per cell (exact whenever the difference is affine with a single
-    sign per cell, e.g. for axis-aligned staircases).
+    sign per cell, e.g. for axis-aligned staircases); all cells' nodes go
+    through one values call per field.
     """
     box = _common_domain(u, v)
     dim = box.dim
@@ -732,25 +795,28 @@ def l1_distance(u, v, order=4, refine=1):
                 total += 0.5 * (abs(fa) + abs(fb)) * (b - a)
         return total
 
-    knots = []
+    # The refined cells form a tensor grid, so one composite Gauss rule per
+    # axis, tensored over the axes, covers all of them at once.
+    x, w = geo.gauss_rule(order)
+    axis_pts, axis_wts = [], []
     for axis in range(dim):
         cuts = sorted(_axis_breaks(u, axis) | _axis_breaks(v, axis))
         pieces = geo.subdivide_interval(box.lo[axis], box.hi[axis], cuts)
-        axis_knots = [box.lo[axis]]
+        knots = [box.lo[axis]]
         for a, b in pieces:
-            axis_knots.extend(a + (b - a) * k / refine for k in range(1, refine + 1))
-        knots.append(np.array(axis_knots))
-
-    total = 0.0
-    rot = u.rotation
-    for cell in np.ndindex(*(len(k) - 1 for k in knots)):
-        lo = [knots[a][i] for a, i in enumerate(cell)]
-        hi = [knots[a][i + 1] for a, i in enumerate(cell)]
-        pts_ref, wts = geo.tensor_gauss(Box(tuple(lo), tuple(hi)), order)
-        pts = pts_ref if rot is None else pts_ref @ rot.T
-        diff = u.values(pts) - v.values(pts)
-        total += float(wts @ np.linalg.norm(diff, axis=1))
-    return total
+            knots.extend(a + (b - a) * k / refine for k in range(1, refine + 1))
+        lo, hi = np.array(knots[:-1]), np.array(knots[1:])
+        axis_pts.append((lo[:, None] + (hi - lo)[:, None] * x).reshape(-1))
+        axis_wts.append(((hi - lo)[:, None] * w).reshape(-1))
+    grids = np.meshgrid(*axis_pts, indexing="ij")
+    pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
+    wts = axis_wts[0]
+    for aw in axis_wts[1:]:
+        wts = np.multiply.outer(wts, aw)
+    if u.rotation is not None:
+        pts = pts @ u.rotation.T
+    diff = u.values(pts) - v.values(pts)
+    return float(wts.reshape(-1) @ np.linalg.norm(diff, axis=1))
 
 
 # ---------------------------------------------------------------------------

@@ -143,36 +143,179 @@ def orthonormal_tangents(mu):
     return (t1, t2)
 
 
+# ---------------------------------------------------------------------------
+# Convex polygons in batches. N polygons share one padded (N, V, d) array
+# with a vertex count per row: row i uses its first counts[i] vertices, in
+# order, and the rest is padding. The one-polygon helpers below are one-row
+# calls into these.
+
+def _successors(counts, width):
+    """Index of each vertex's successor around its polygon, (N, width)."""
+    k = np.arange(width)
+    return np.where(k + 1 < counts[:, None], k + 1, 0)
+
+
+def clip_polygons(verts, counts, normals, offsets):
+    """Sutherland-Hodgman clip of N padded convex polygons in one pass.
+
+    Row i keeps the side normals[i] . v <= offsets[i]; a single (d,) normal
+    is shared by every row, and an infinite offset keeps a row whole.
+    Returns the clipped (verts, counts) in the same padded layout.
+    """
+    verts = np.asarray(verts, dtype=float)
+    counts = np.asarray(counts)
+    n_rows, width, d = verts.shape
+    rows = np.arange(n_rows)[:, None]
+    succ = _successors(counts, width)
+    live = np.arange(width) < counts[:, None]
+    normals = np.asarray(normals, dtype=float).reshape(-1, 1, d)
+    dist = (verts * normals).sum(axis=2) - np.asarray(offsets, dtype=float).reshape(-1, 1)
+    dist_next = dist[rows, succ]
+    keep = live & (dist <= MEASURE_EPS)
+    cross = live & (((dist < -MEASURE_EPS) & (dist_next > MEASURE_EPS))
+                    | ((dist > MEASURE_EPS) & (dist_next < -MEASURE_EPS)))
+    t = np.zeros(dist.shape)
+    t[cross] = dist[cross] / (dist[cross] - dist_next[cross])
+    # Each vertex emits itself when kept, then its edge's crossing point.
+    cand = np.empty((n_rows, width, 2, d))
+    cand[:, :, 0] = verts
+    cand[:, :, 1] = verts + t[:, :, None] * (verts[rows, succ] - verts)
+    mask = np.empty((n_rows, width, 2), dtype=bool)
+    mask[:, :, 0] = keep
+    mask[:, :, 1] = cross
+    mask = mask.reshape(n_rows, 2 * width)
+    new_counts = mask.sum(axis=1)
+    out = np.zeros((n_rows, int(new_counts.max(initial=0)), d))
+    r, slot = np.nonzero(mask)
+    out[r, (np.cumsum(mask, axis=1) - 1)[r, slot]] = cand.reshape(n_rows, 2 * width, d)[r, slot]
+    return out, new_counts
+
+
+def polygon_areas2(verts, counts):
+    """Shoelace areas of N padded 2-d polygons."""
+    verts = np.asarray(verts, dtype=float)
+    counts = np.asarray(counts)
+    succ = _successors(counts, verts.shape[1])
+    rows = np.arange(len(counts))[:, None]
+    x, y = verts[..., 0], verts[..., 1]
+    terms = x * y[rows, succ] - y * x[rows, succ]
+    live = np.arange(verts.shape[1]) < counts[:, None]
+    return 0.5 * np.abs(np.where(live, terms, 0.0).sum(axis=1))
+
+
+def planar_polygon_areas(verts, counts):
+    """Areas of N padded planar polygons embedded in R^3 (fan cross sums)."""
+    verts = np.asarray(verts, dtype=float)
+    counts = np.asarray(counts)
+    e1 = verts[:, 1:-1] - verts[:, :1]
+    e2 = verts[:, 2:] - verts[:, :1]
+    in_fan = np.arange(2, verts.shape[1]) < counts[:, None]
+    total = np.zeros((len(counts), 3))
+    for k in range(3):
+        i, j = (k + 1) % 3, (k + 2) % 3
+        cross_k = e1[..., i] * e2[..., j] - e1[..., j] * e2[..., i]
+        total[:, k] = np.where(in_fan, cross_k, 0.0).sum(axis=1)
+    return 0.5 * np.sqrt((total * total).sum(axis=1))
+
+
+# Degree-2 triangle rule: midpoints of edges, equal weights. Exact for all
+# polynomials of degree <= 2, in particular for affine jump integrands.
+_TRI_BARY = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+
+
+def fan_quadrature2(verts, counts):
+    """Degree-2 quadrature over N padded convex 2-d polygons at once.
+
+    Each polygon is fanned from its first vertex, and every fan triangle of
+    area above MEASURE_EPS gets the _TRI_BARY rule. Returns (nodes (M, 2),
+    weights (M,), owner (M,)), owner being the row each node belongs to;
+    nodes come row by row, triangle by triangle.
+    """
+    verts = np.asarray(verts, dtype=float)
+    counts = np.asarray(counts)
+    v0 = np.broadcast_to(verts[:, :1], verts[:, 1:-1].shape)
+    e1 = verts[:, 1:-1] - v0
+    e2 = verts[:, 2:] - v0
+    area = 0.5 * np.abs(e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0])
+    in_fan = (np.arange(2, verts.shape[1]) < counts[:, None]) & (area > MEASURE_EPS)
+    rows, tris = np.nonzero(in_fan)
+    corners = np.stack([v0[rows, tris], verts[rows, tris + 1], verts[rows, tris + 2]],
+                       axis=1)
+    nodes = (_TRI_BARY @ corners).reshape(-1, 2)
+    return nodes, np.repeat(area[rows, tris] / 3.0, 3), np.repeat(rows, 3)
+
+
 def clip_polygon_halfspace(verts, normal, offset):
     """Sutherland-Hodgman clip keeping the side normal . v <= offset."""
     if len(verts) == 0:
         return verts
-    out = []
-    n = len(verts)
-    dist = verts @ normal - offset
-    for i in range(n):
-        j = (i + 1) % n
-        di, dj = dist[i], dist[j]
-        if di <= MEASURE_EPS:
-            out.append(verts[i])
-            if dj > MEASURE_EPS and di < -MEASURE_EPS:
-                t = di / (di - dj)
-                out.append(verts[i] + t * (verts[j] - verts[i]))
-        elif dj < -MEASURE_EPS:
-            t = di / (di - dj)
-            out.append(verts[i] + t * (verts[j] - verts[i]))
-    return np.array(out) if out else np.empty((0, verts.shape[1]))
+    out, counts = clip_polygons(np.asarray(verts, dtype=float)[None], [len(verts)],
+                                normal, offset)
+    return out[0, :counts[0]]
 
 
 def planar_polygon_area(verts):
     """Area of a planar polygon embedded in R^3 (vertices in order)."""
     if len(verts) < 3:
         return 0.0
-    v0 = verts[0]
-    cross_sum = np.zeros(3)
-    for i in range(1, len(verts) - 1):
-        cross_sum += np.cross(verts[i] - v0, verts[i + 1] - v0)
-    return 0.5 * float(np.linalg.norm(cross_sum))
+    return float(planar_polygon_areas(np.asarray(verts, dtype=float)[None],
+                                      [len(verts)])[0])
+
+
+def plane_sections(box, mu, cs):
+    """Sections of a box by the parallel planes {y . mu = c}, c in cs, at once.
+
+    Returns (measures, verts, counts): row k holds the counts[k] corners of
+    the k-th section, in reference coordinates and the padded layout of
+    clip_polygons, or measure 0.0 and count 0 when that plane misses the
+    box interior. In 2-d the sections are closed-form segments; in 3-d one
+    large square per plane is clipped against the six faces of the box, all
+    planes in one batch. mu must be a unit vector.
+    """
+    mu = _as_point(mu, box.dim)
+    dim = box.dim
+    cs = np.asarray(cs, dtype=float).reshape(-1)
+    m_lo, m_hi = plane_range(box, mu)
+    hit = (m_lo + MEASURE_EPS < cs) & (cs < m_hi - MEASURE_EPS)
+
+    if dim == 1:
+        measures = np.ones(cs.size)
+        verts = (cs / mu[0]).reshape(-1, 1, 1)
+        counts = np.ones(cs.size, dtype=int)
+    elif dim == 2:
+        t = np.array([-mu[1], mu[0]])
+        p0 = cs[:, None] * mu
+        s_lo = np.full(cs.size, -np.inf)
+        s_hi = np.full(cs.size, np.inf)
+        for k in range(2):
+            if abs(t[k]) < 1e-15:
+                continue
+            a = (box.lo[k] - p0[:, k]) / t[k]
+            b = (box.hi[k] - p0[:, k]) / t[k]
+            s_lo = np.maximum(s_lo, np.minimum(a, b))
+            s_hi = np.minimum(s_hi, np.maximum(a, b))
+        measures = s_hi - s_lo
+        verts = np.stack([p0 + s_lo[:, None] * t, p0 + s_hi[:, None] * t], axis=1)
+        counts = np.full(cs.size, 2)
+    else:
+        t1, t2 = orthonormal_tangents(mu)
+        q0 = box.center + (cs - float(box.center @ mu))[:, None] * mu
+        rad = 2.0 * float(np.linalg.norm(box.widths))
+        verts = np.stack([
+            q0 - rad * t1 - rad * t2,
+            q0 + rad * t1 - rad * t2,
+            q0 + rad * t1 + rad * t2,
+            q0 - rad * t1 + rad * t2,
+        ], axis=1)
+        counts = np.full(cs.size, 4)
+        eye = np.eye(3)
+        for k in range(3):
+            verts, counts = clip_polygons(verts, counts, eye[k], box.hi[k])
+            verts, counts = clip_polygons(verts, counts, -eye[k], -box.lo[k])
+            counts = np.where(counts < 3, 0, counts)
+        measures = planar_polygon_areas(verts, counts)
+    hit &= measures > MEASURE_EPS
+    return np.where(hit, measures, 0.0), verts, np.where(hit, counts, 0)
 
 
 def plane_section(box, mu, c):
@@ -182,50 +325,10 @@ def plane_section(box, mu, c):
     section's corners in reference coordinates, or (0.0, None) when the
     plane misses the box interior. mu must be a unit vector.
     """
-    mu = _as_point(mu, box.dim)
-    dim = box.dim
-    m_lo, m_hi = plane_range(box, mu)
-    if not m_lo + MEASURE_EPS < c < m_hi - MEASURE_EPS:
+    measures, verts, counts = plane_sections(box, mu, [c])
+    if counts[0] == 0:
         return 0.0, None
-
-    if dim == 1:
-        return 1.0, np.array([[c / mu[0]]])
-
-    if dim == 2:
-        t = np.array([-mu[1], mu[0]])
-        p0 = c * mu
-        s_lo, s_hi = -np.inf, np.inf
-        for k in range(2):
-            if abs(t[k]) < 1e-15:
-                continue
-            a = (box.lo[k] - p0[k]) / t[k]
-            b = (box.hi[k] - p0[k]) / t[k]
-            s_lo = max(s_lo, min(a, b))
-            s_hi = min(s_hi, max(a, b))
-        if s_hi - s_lo <= MEASURE_EPS:
-            return 0.0, None
-        verts = np.array([p0 + s_lo * t, p0 + s_hi * t])
-        return float(s_hi - s_lo), verts
-
-    t1, t2 = orthonormal_tangents(mu)
-    q0 = box.center + (c - float(box.center @ mu)) * mu
-    rad = 2.0 * float(np.linalg.norm(box.widths))
-    verts = np.array([
-        q0 - rad * t1 - rad * t2,
-        q0 + rad * t1 - rad * t2,
-        q0 + rad * t1 + rad * t2,
-        q0 - rad * t1 + rad * t2,
-    ])
-    eye = np.eye(3)
-    for k in range(3):
-        verts = clip_polygon_halfspace(verts, eye[k], box.hi[k])
-        verts = clip_polygon_halfspace(verts, -eye[k], -box.lo[k])
-        if len(verts) < 3:
-            return 0.0, None
-    area = planar_polygon_area(verts)
-    if area <= MEASURE_EPS:
-        return 0.0, None
-    return area, verts
+    return float(measures[0]), verts[0, :counts[0]]
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +337,7 @@ def plane_section(box, mu, c):
 def polygon_area2(verts):
     if len(verts) < 3:
         return 0.0
-    x, y = verts[:, 0], verts[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+    return float(polygon_areas2(np.asarray(verts, dtype=float)[None], [len(verts)])[0])
 
 
 def split_polygon_by_line(verts, g, b, tol=1e-14):
@@ -243,32 +345,19 @@ def split_polygon_by_line(verts, g, b, tol=1e-14):
 
     Returns (below, above) vertex arrays; either may be empty.
     """
-    below = clip_polygon_halfspace(verts, np.asarray(g, dtype=float), b + tol)
-    above = clip_polygon_halfspace(verts, -np.asarray(g, dtype=float), -(b - tol))
-    return below, above
-
-
-# Degree-2 triangle rule: midpoints of edges, equal weights. Exact for all
-# polynomials of degree <= 2, in particular for affine jump integrands.
-_TRI_BARY = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+    if len(verts) == 0:
+        return verts, verts
+    g = np.asarray(g, dtype=float)
+    out, counts = clip_polygons(np.repeat(np.asarray(verts, dtype=float)[None], 2, axis=0),
+                                [len(verts)] * 2, [g, -g], [b + tol, -(b - tol)])
+    return out[0, :counts[0]], out[1, :counts[1]]
 
 
 def polygon_quadrature2(verts):
     """Quadrature points/weights over a convex 2-d polygon (fan triangulation)."""
-    if len(verts) < 3:
-        return np.empty((0, 2)), np.empty(0)
-    pts, wts = [], []
-    v0 = verts[0]
-    for i in range(1, len(verts) - 1):
-        tri = np.array([v0, verts[i], verts[i + 1]])
-        area = polygon_area2(tri)
-        if area <= MEASURE_EPS:
-            continue
-        pts.append(_TRI_BARY @ tri)
-        wts.append(np.full(3, area / 3.0))
-    if not pts:
-        return np.empty((0, 2)), np.empty(0)
-    return np.vstack(pts), np.concatenate(wts)
+    verts = np.asarray(verts, dtype=float).reshape(-1, 2)
+    nodes, weights, _ = fan_quadrature2(verts[None], [len(verts)])
+    return nodes, weights
 
 
 def subdivide_interval(a, b, cuts, tol=1e-14):

@@ -301,6 +301,23 @@ def test_bad_numbers_are_config_errors(tmp_path, capsys, command, name, value):
     assert not os.path.exists(config["output_path"])
 
 
+@pytest.mark.parametrize("command, name", [
+    ("h-cell", "samples"), ("vpm", "samples"), ("vpm", "resolution"),
+    ("cell", "dim"), ("verify-expl", "grid_resolution"),
+])
+def test_booleans_are_not_integers(tmp_path, capsys, command, name):
+    # bool is an int subclass; JSON true must not run as the integer 1.
+    config = {"command": command, "dim": 2,
+              "parameters": {"samples": 1, name: True},
+              "output_path": os.path.join(tmp_path, "out.csv")}
+    with pytest.raises(ConfigError, match=name):
+        run(config)
+    cfg = _write_config(tmp_path, "bad.json", config)
+    assert main(["--config", cfg]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert not os.path.exists(config["output_path"])
+
+
 def test_integral_numbers_run(tmp_path):
     out = os.path.join(tmp_path, "verify.csv")
     run({"command": "verify-expl", "dim": 2,

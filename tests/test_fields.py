@@ -21,10 +21,8 @@ from sdrelax.errors import DomainError
 from sdrelax.fields import (
     GridField,
     GridMesh,
-    _face_pieces,
     _facet_from_face,
-    _lift,
-    _piece_quadrature,
+    _piece_rule,
     average_gradient,
     broken_ramp,
     broken_ramp_deformation,
@@ -63,49 +61,145 @@ def _ramp_oracle(n, x):
 
 
 def test_zero_area_face_piece_is_measured_without_dividing():
-    # A collinear polygon piece has no area; callers skip pieces at or
-    # below the measure tolerance, so no centroid needs computing.
-    collinear = np.array([[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]])
+    # A collinear polygon piece has no area: the batched rule gives it no
+    # nodes, and callers skip pieces at or below the measure tolerance, so
+    # no centroid needs computing.
+    collinear = [[0.0, 0.0], [0.5, 0.5], [1.0, 1.0], [0.0, 0.0]]
+    square = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        nodes, wts = _piece_quadrature(3, collinear)
-    assert float(wts.sum()) == 0.0
-    square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
-    nodes, wts = _piece_quadrature(3, square)
+        nodes, wts, owner = _piece_rule(3, np.array([collinear, square]),
+                                        np.array([3, 4]))
+    assert set(owner.tolist()) == {1}
     measure = float(wts.sum())
     assert measure == pytest.approx(1.0)
     assert (wts @ nodes) / measure == pytest.approx([0.5, 0.5])
 
 
-# Reference: the facet construction as it was before each face piece got
-# a single quadrature. It measures every piece and part by a quadrature of
-# its own, quadratures each part once more for its nodes, and evaluates the
-# jump at the centroid of the piece and again at the centroid of each part.
+# Reference: the facet construction as it was before face pieces were
+# built in batches, with its one-polygon geometry copied here so that it
+# shares no code with the program's batched route. It cuts a face one line
+# at a time, measures every piece and part by a quadrature of its own,
+# quadratures each part once more for its nodes, and evaluates the jump at
+# the centroid of the piece and again at the centroid of each part. Family
+# planes are sectioned one at a time.
+_ORACLE_EPS = 1e-12
+_ORACLE_TRI = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+
+
+def _oracle_clip(verts, normal, offset):
+    if len(verts) == 0:
+        return verts
+    out = []
+    n = len(verts)
+    dist = verts @ normal - offset
+    for i in range(n):
+        j = (i + 1) % n
+        di, dj = dist[i], dist[j]
+        if di <= _ORACLE_EPS:
+            out.append(verts[i])
+            if dj > _ORACLE_EPS and di < -_ORACLE_EPS:
+                t = di / (di - dj)
+                out.append(verts[i] + t * (verts[j] - verts[i]))
+        elif dj < -_ORACLE_EPS:
+            t = di / (di - dj)
+            out.append(verts[i] + t * (verts[j] - verts[i]))
+    return np.array(out) if out else np.empty((0, verts.shape[1]))
+
+
+def _oracle_area2(verts):
+    if len(verts) < 3:
+        return 0.0
+    x, y = verts[:, 0], verts[:, 1]
+    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+
+
+def _oracle_split(verts, g, b, tol=1e-14):
+    g = np.asarray(g, dtype=float)
+    return _oracle_clip(verts, g, b + tol), _oracle_clip(verts, -g, -(b - tol))
+
+
+def _oracle_polygon_quadrature(verts):
+    pts, wts = [], []
+    for i in range(1, len(verts) - 1):
+        tri = np.array([verts[0], verts[i], verts[i + 1]])
+        area = _oracle_area2(tri)
+        if area <= _ORACLE_EPS:
+            continue
+        pts.append(_ORACLE_TRI @ tri)
+        wts.append(np.full(3, area / 3.0))
+    if not pts:
+        return np.empty((0, 2)), np.empty(0)
+    return np.vstack(pts), np.concatenate(wts)
+
+
+def _oracle_face_pieces(dim, free_bounds, cut_lines):
+    if dim == 1:
+        return [()]
+    if dim == 2:
+        (a, b), = free_bounds
+        cuts = sorted(c / g[0] for g, c in cut_lines if abs(g[0]) > 1e-13)
+        knots = [a] + [c for c in cuts if a + 1e-14 < c < b - 1e-14] + [b]
+        return [(knots[i], knots[i + 1]) for i in range(len(knots) - 1)]
+    (a0, b0), (a1, b1) = free_bounds
+    polys = [np.array([[a0, a1], [b0, a1], [b0, b1], [a0, b1]])]
+    for g, c in cut_lines:
+        nxt = []
+        for poly in polys:
+            vals = poly @ g - c
+            if vals.min() > -1e-13 or vals.max() < 1e-13:
+                nxt.append(poly)
+                continue
+            for part in _oracle_split(poly, g, c):
+                if len(part) >= 3 and _oracle_area2(part) > _ORACLE_EPS:
+                    nxt.append(part)
+        polys = nxt
+    return polys
+
+
+def _oracle_piece_quadrature(dim, piece):
+    if dim == 1:
+        return np.zeros((1, 0)), np.ones(1)
+    if dim == 2:
+        a, b = piece
+        x, w = np.polynomial.legendre.leggauss(4)
+        return (a + (b - a) * 0.5 * (x + 1.0)).reshape(-1, 1), (b - a) * 0.5 * w
+    return _oracle_polygon_quadrature(piece)
+
+
 def _oracle_piece_geometry(dim, piece):
     if dim == 1:
         return np.zeros(0), 1.0
     if dim == 2:
         a, b = piece
         return np.array([0.5 * (a + b)]), b - a
-    pts, wts = geometry.polygon_quadrature2(piece)
+    pts, wts = _oracle_polygon_quadrature(piece)
     area = float(wts.sum())
-    if area <= geometry.MEASURE_EPS:
+    if area <= _ORACLE_EPS:
         return np.zeros(2), area
     return (wts @ pts) / area, area
 
 
-def _oracle_facet_from_face(dim, axis, fixed, free_bounds, cut_lines,
+def _oracle_lift(free_w, axis, fixed, dim):
+    out = np.empty((len(free_w), dim))
+    out[:, axis] = fixed
+    out[:, [k for k in range(dim) if k != axis]] = free_w
+    return out
+
+
+def _oracle_facet_from_face(dim, axis, fixed, free_bounds, cut_families,
                             normal_phys, jump_centroid, jump_grad_free,
                             rotation, plane_offset, keep_all=False):
-    pieces = _face_pieces(dim, free_bounds, cut_lines)
+    cut_lines = [(g, float(c)) for g, cs in cut_families for c in cs]
+    pieces = _oracle_face_pieces(dim, free_bounds, cut_lines)
     s_grad = jump_grad_free.T @ normal_phys if dim > 1 else np.zeros(0)
     all_pts, all_wts, all_jumps = [], [], []
     total_area = 0.0
     for piece in pieces:
         w_c, measure = _oracle_piece_geometry(dim, piece)
-        if measure <= geometry.MEASURE_EPS:
+        if measure <= _ORACLE_EPS:
             continue
-        j_c = jump_centroid(_lift(w_c.reshape(1, -1), axis, fixed, dim))[0]
+        j_c = jump_centroid(_oracle_lift(w_c.reshape(1, -1), axis, fixed, dim))[0]
         sub = [piece]
         if dim > 1 and float(np.linalg.norm(s_grad)) > 1e-13:
             s_c = float(normal_phys @ j_c)
@@ -118,18 +212,16 @@ def _oracle_facet_from_face(dim, axis, fixed, free_bounds, cut_lines,
             else:
                 vals = piece @ s_grad - rhs
                 if vals.min() < -1e-13 < 1e-13 < vals.max():
-                    lo_p, hi_p = geometry.split_polygon_by_line(piece, s_grad, rhs)
-                    sub = [p for p in (lo_p, hi_p)
-                           if len(p) >= 3
-                           and geometry.polygon_area2(p) > geometry.MEASURE_EPS]
+                    sub = [p for p in _oracle_split(piece, s_grad, rhs)
+                           if len(p) >= 3 and _oracle_area2(p) > _ORACLE_EPS]
         for part in sub:
             w_part, part_measure = _oracle_piece_geometry(dim, part)
-            if part_measure <= geometry.MEASURE_EPS:
+            if part_measure <= _ORACLE_EPS:
                 continue
-            nodes, wts = _piece_quadrature(dim, part)
-            j_part = jump_centroid(_lift(w_part.reshape(1, -1), axis, fixed, dim))[0]
+            nodes, wts = _oracle_piece_quadrature(dim, part)
+            j_part = jump_centroid(_oracle_lift(w_part.reshape(1, -1), axis, fixed, dim))[0]
             jumps = j_part[None, :] + (nodes - w_part) @ jump_grad_free.T
-            pts_ref = _lift(nodes, axis, fixed, dim)
+            pts_ref = _oracle_lift(nodes, axis, fixed, dim)
             pts = pts_ref if rotation is None else pts_ref @ rotation.T
             all_pts.append(pts)
             all_wts.append(wts)
@@ -151,6 +243,73 @@ def _oracle_facet_from_face(dim, axis, fixed, free_bounds, cut_lines,
                         plane_offset=plane_offset)
 
 
+def _oracle_plane_section(box, mu, c):
+    lo, hi = np.array(box.lo), np.array(box.hi)
+    m_lo = float(np.sum(np.minimum(mu * lo, mu * hi)))
+    m_hi = float(np.sum(np.maximum(mu * lo, mu * hi)))
+    if not m_lo + _ORACLE_EPS < c < m_hi - _ORACLE_EPS:
+        return 0.0, None
+    dim = box.dim
+    if dim == 1:
+        return 1.0, np.array([[c / mu[0]]])
+    if dim == 2:
+        t = np.array([-mu[1], mu[0]])
+        p0 = c * mu
+        s_lo, s_hi = -np.inf, np.inf
+        for k in range(2):
+            if abs(t[k]) < 1e-15:
+                continue
+            a = (lo[k] - p0[k]) / t[k]
+            b = (hi[k] - p0[k]) / t[k]
+            s_lo = max(s_lo, min(a, b))
+            s_hi = min(s_hi, max(a, b))
+        if s_hi - s_lo <= _ORACLE_EPS:
+            return 0.0, None
+        return float(s_hi - s_lo), np.array([p0 + s_lo * t, p0 + s_hi * t])
+    t1, t2 = np.linalg.svd(mu.reshape(1, 3))[2][1:]  # orthonormal, orthogonal to mu
+    center = 0.5 * (lo + hi)
+    q0 = center + (c - float(center @ mu)) * mu
+    rad = 2.0 * float(np.linalg.norm(hi - lo))
+    verts = np.array([q0 - rad * t1 - rad * t2, q0 + rad * t1 - rad * t2,
+                      q0 + rad * t1 + rad * t2, q0 - rad * t1 + rad * t2])
+    for k in range(3):
+        verts = _oracle_clip(verts, np.eye(3)[k], hi[k])
+        verts = _oracle_clip(verts, -np.eye(3)[k], -lo[k])
+        if len(verts) < 3:
+            return 0.0, None
+    cross_sum = sum(np.cross(verts[i] - verts[0], verts[i + 1] - verts[0])
+                    for i in range(1, len(verts) - 1))
+    area = 0.5 * float(np.linalg.norm(cross_sum))
+    if area <= _ORACLE_EPS:
+        return 0.0, None
+    return area, verts
+
+
+def _oracle_family_facets(fam, box, rotation):
+    out = []
+    normal_phys = fam.normal_ref if rotation is None else rotation @ fam.normal_ref
+    for c, jump in zip(fam.offsets, fam.jumps):
+        if float(np.max(np.abs(jump))) <= fields.JUMP_TOL:
+            continue
+        measure, verts = _oracle_plane_section(box, fam.normal_ref, float(c))
+        if measure <= 0.0:
+            continue
+        centroid = verts.mean(axis=0)
+        pt = centroid if rotation is None else rotation @ centroid
+        out.append(fields.Facet(normal=normal_phys, area=measure,
+                                quad_points=pt.reshape(1, -1),
+                                quad_weights=np.array([measure]),
+                                quad_jumps=jump.reshape(1, -1),
+                                constant_jump=jump, plane_axis=None,
+                                plane_offset=float(c)))
+    return out
+
+
+def _use_oracle(m):
+    m.setattr(fields, "_facet_from_face", _oracle_facet_from_face)
+    m.setattr(fields, "_family_facets", _oracle_family_facets)
+
+
 SURFACE_DENSITIES = [surface_density(name) for name in DENSITY_KINDS["surface"]]
 
 
@@ -166,7 +325,7 @@ def _assert_matches_oracle(monkeypatch, build):
     """build() must return a fresh field: facets are cached per field."""
     got = _facet_summary(build())
     with monkeypatch.context() as m:
-        m.setattr(fields, "_facet_from_face", _oracle_facet_from_face)
+        _use_oracle(m)
         want = _facet_summary(build())
     assert len(got[0]) == len(want[0])
     for (area, wsum, integral), (area0, wsum0, integral0) in zip(got[0], want[0]):
@@ -190,6 +349,71 @@ def test_clamped_staircase_facets_match_the_kept_construction(monkeypatch, dim,
             rows, _ = _assert_matches_oracle(
                 monkeypatch, lambda: staircase_sequence(A, B, frame, n))
             assert rows
+
+
+def test_fine_3d_staircase_facets_match_the_kept_construction(monkeypatch):
+    # The finest 3-D refinements that certified estimates use, where every
+    # face is cut by dozens of lines from three families.
+    rng = np.random.default_rng(60)
+    for n in (8, 12):
+        A = rng.normal(size=(3, 3))
+        B = rng.normal(size=(3, 3))
+        frame = Frame(tuple(rng.uniform(0.0, np.pi, size=3)), 3)
+        rows, _ = _assert_matches_oracle(
+            monkeypatch, lambda: staircase_sequence(A, B, frame, n))
+        assert len(rows) > 3 * n
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_identity_frame_staircase_facets_match_the_kept_construction(monkeypatch,
+                                                                      dim):
+    # Axis-aligned planes meet the clamp faces along their edges and lie on
+    # the faces themselves, where the jump is taken from inside (face_limit).
+    rng = np.random.default_rng(70 + dim)
+    for n in (2, 3, 4, 8):
+        A = rng.normal(size=(dim, dim))
+        B = rng.normal(size=(dim, dim))
+        rows, _ = _assert_matches_oracle(
+            monkeypatch, lambda: staircase_sequence(A, B, identity_frame(dim), n))
+        assert rows
+    if dim == 1:
+        # A vector-valued field on an interval: no normal jump to split at,
+        # and the registry densities do not apply, so compare jump integrals.
+        A, B = rng.normal(size=(2, 1)), rng.normal(size=(2, 1))
+        u = staircase_sequence(A, B, identity_frame(1), 3)
+        with monkeypatch.context() as m:
+            _use_oracle(m)
+            want = [f.quad_weights @ f.quad_jumps
+                    for f in staircase_sequence(A, B, identity_frame(1), 3).facets()]
+        got = [f.quad_weights @ f.quad_jumps for f in u.facets()]
+        assert len(got) == len(want) == 4
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+        bulk, jump = total_derivative(u)
+        assert np.allclose(bulk + jump, A, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_family_facets_match_the_kept_construction(monkeypatch, dim):
+    rng = np.random.default_rng(80 + dim)
+    for n in (1, 4, 9):
+        A = rng.normal(size=(dim, dim))
+        B = rng.normal(size=(dim, dim))
+        frame = Frame(tuple(rng.uniform(0.0, np.pi, size=dim * (dim - 1) // 2)), dim)
+        rows, _ = _assert_matches_oracle(
+            monkeypatch, lambda: staircase_sequence(A, B, frame, n, clamp=False))
+        assert n == 1 or rows
+    for _ in range(3):
+        lam = rng.normal(size=dim)
+        nu = rng.normal(size=dim)
+        nu /= np.linalg.norm(nu)
+        for splits in (((1.0, 0.0),), ((0.3, -0.45), (0.5, 0.05), (0.2, 0.3))):
+            rows, _ = _assert_matches_oracle(
+                monkeypatch, lambda: jump_competitor(lam, nu, splits=splits))
+            assert len(rows) == len(splits)
+    if dim == 3:
+        for n in (2, 5, 17, 48):
+            rows, _ = _assert_matches_oracle(monkeypatch, lambda: deck_of_cards(n))
+            assert len(rows) == n - 1
 
 
 def _rotated_grid_field(seed, dim, resolution):
@@ -235,7 +459,7 @@ def test_design_energies_match_the_kept_construction(monkeypatch):
 
         got = values()
         with monkeypatch.context() as m:
-            m.setattr(fields, "_facet_from_face", _oracle_facet_from_face)
+            _use_oracle(m)
             want = values()
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -245,26 +469,38 @@ def test_one_quadrature_per_unsplit_face_piece(monkeypatch, normal_jump_at_origi
                                                quadratures):
     # One unit-square piece of the face x3 = 0.5. The normal jump
     # c + w1 / 2 keeps its sign for c = 1 and changes it at w1 = 1/2 for
-    # c = -1/4, where the piece splits in two halves.
+    # c = -1/4, where the piece splits in two halves. The batched route
+    # evaluates the jump once per face and quadratures the piece once, and
+    # then only the two halves of a split piece; quadratures counts the
+    # polygons passed through the batched rule.
     grad_free = np.array([[0.3, -0.2], [0.1, 0.4], [0.5, 0.0]])
     const = np.array([0.2, -0.1, normal_jump_at_origin])
+    jump_calls = []
 
     def jump_at(pts_ref):
+        jump_calls.append(len(pts_ref))
         return const[None, :] + pts_ref[:, :2] @ grad_free.T
 
     args = (3, 2, 0.5, [(0.0, 1.0), (0.0, 1.0)], [], np.eye(3)[2], jump_at,
             grad_free, None, 0.5)
-    calls = []
-    real = geometry.polygon_quadrature2
+    polygons, single = [], []
+    batched, one_row = geometry.fan_quadrature2, geometry.polygon_quadrature2
 
-    def counted(verts):
-        calls.append(len(verts))
-        return real(verts)
+    def counted(verts, counts):
+        polygons.append(len(counts))
+        return batched(verts, counts)
+
+    def counted_one_row(verts):
+        single.append(len(verts))
+        return one_row(verts)
 
     with monkeypatch.context() as m:
-        m.setattr(geometry, "polygon_quadrature2", counted)
+        m.setattr(geometry, "fan_quadrature2", counted)
+        m.setattr(geometry, "polygon_quadrature2", counted_one_row)
         facet = _facet_from_face(*args)
-    assert len(calls) == quadratures
+    assert sum(polygons) == quadratures
+    assert single == []
+    assert jump_calls == [1]
     oracle = _oracle_facet_from_face(*args)
     assert facet.area == pytest.approx(oracle.area, abs=1e-15)
     assert facet.quad_weights.sum() == pytest.approx(oracle.quad_weights.sum(),
@@ -276,6 +512,23 @@ def test_one_quadrature_per_unsplit_face_piece(monkeypatch, normal_jump_at_origi
     exact = 1.25 if normal_jump_at_origin > 0 else 0.125  # integral of |c + w1/2|
     assert facet.quad_weights @ np.abs(facet.quad_jumps[:, 2]) == pytest.approx(
         exact, abs=1e-12)
+
+
+def test_one_jump_evaluation_per_clamp_face(monkeypatch):
+    u = staircase_sequence(np.diag([1.0, 2.0, 0.5]), np.eye(3) * 0.3,
+                           Frame((0.3, 1.1, 2.0), 3), 8)
+    calls = []
+    real = fields.StepField._inner_values
+
+    def counted(self, X, face_limit=None):
+        calls.append(len(X))
+        return real(self, X, face_limit)
+
+    monkeypatch.setattr(fields.StepField, "_inner_values", counted)
+    facets = u.facets()
+    assert len(calls) == 6  # one call per clamp face, on all its pieces
+    assert max(calls) > 20
+    assert sum(f.plane_axis is not None for f in facets) == 6
 
 
 def test_grid_fields_keep_the_corner_quick_reject():
@@ -441,6 +694,64 @@ def test_unclamped_staircase_converges_to_affine_limit():
              for n in (4, 8, 16)]
     for coarse, fine in zip(dists, dists[1:]):
         assert fine < 0.6 * coarse
+
+
+def _per_cell_l1(u, v, order=4, refine=1):
+    # Reference: l1_distance in dim >= 2 as it was, one tensor Gauss rule
+    # and two values calls per refined cell.
+    box = u.domain if isinstance(u, fields.StepField) else u.mesh.box
+    knots = []
+    for axis in range(box.dim):
+        cuts = sorted(fields._axis_breaks(u, axis) | fields._axis_breaks(v, axis))
+        inner = [c for c in cuts if box.lo[axis] + 1e-14 < c < box.hi[axis] - 1e-14]
+        ends = [box.lo[axis]] + inner + [box.hi[axis]]
+        axis_knots = [box.lo[axis]]
+        for a, b in zip(ends, ends[1:]):
+            axis_knots.extend(a + (b - a) * k / refine for k in range(1, refine + 1))
+        knots.append(np.array(axis_knots))
+    x, w = np.polynomial.legendre.leggauss(order)
+    x, w = 0.5 * (x + 1.0), 0.5 * w
+    total = 0.0
+    for cell in np.ndindex(*(len(k) - 1 for k in knots)):
+        lo = [knots[a][i] for a, i in enumerate(cell)]
+        hi = [knots[a][i + 1] for a, i in enumerate(cell)]
+        grids = np.meshgrid(*[l + (h - l) * x for l, h in zip(lo, hi)], indexing="ij")
+        pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
+        wts = (hi[0] - lo[0]) * w
+        for l, h in zip(lo[1:], hi[1:]):
+            wts = np.multiply.outer(wts, (h - l) * w)
+        if u.rotation is not None:
+            pts = pts @ u.rotation.T
+        diff = u.values(pts) - v.values(pts)
+        total += float(wts.reshape(-1) @ np.linalg.norm(diff, axis=1))
+    return total
+
+
+def test_l1_distance_matches_the_per_cell_loop():
+    rng = np.random.default_rng(38)
+    pairs = [(deck_of_cards(n), deck_of_cards_deformation().g) for n in (3, 11)]
+    for dim in (2, 3):
+        A = rng.normal(size=(dim, dim))
+        B = rng.normal(size=(dim, dim))
+        target = GridField.affine(unit_cube(dim), A, rng.normal(size=dim), resolution=2)
+        for frame in (identity_frame(dim),
+                      Frame(tuple(rng.uniform(0.0, np.pi, size=dim * (dim - 1) // 2)), dim)):
+            pairs.append((staircase_sequence(A, B, frame, 5), target))
+            pairs.append((staircase_sequence(A, B, frame, 3, clamp=False), target))
+        lam = rng.normal(size=dim)
+        nu = rng.normal(size=dim)
+        nu /= np.linalg.norm(nu)
+        u = jump_competitor(lam, nu, splits=((0.4, -0.1), (0.6, 0.2)))
+        mesh = GridMesh(unit_cube(dim), 2, u.rotation)
+        pairs.append((u, GridField(mesh, rng.normal(size=(mesh.n_cells, dim, dim)),
+                                   rng.normal(size=(mesh.n_cells, dim)))))
+    pairs.append((random_structured_deformation(40, dim=2, resolution=3).g,
+                  random_structured_deformation(41, dim=2, resolution=2,
+                                                continuous=False).g))
+    for u, v in pairs:
+        for order, refine in ((4, 1), (3, 2)):
+            assert l1_distance(u, v, order, refine) == pytest.approx(
+                _per_cell_l1(u, v, order, refine), abs=1e-12)
 
 
 def test_energy_is_additive_over_domain_splits():

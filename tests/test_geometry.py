@@ -7,13 +7,17 @@ from sdrelax.errors import DimensionMismatchError, DomainError
 from sdrelax.geometry import (
     Box,
     clip_polygon_halfspace,
+    clip_polygons,
     corner_cube,
+    fan_quadrature2,
     interval_quadrature,
     orthonormal_tangents,
     planar_polygon_area,
     plane_range,
     plane_section,
+    plane_sections,
     polygon_area2,
+    polygon_areas2,
     polygon_quadrature2,
     rotation_from_last_axis,
     split_polygon_by_line,
@@ -131,6 +135,57 @@ def test_split_polygon_by_line_partitions_area():
         below, above = split_polygon_by_line(UNIT_SQUARE, g, b)
         total = polygon_area2(below) + polygon_area2(above)
         assert total == pytest.approx(1.0, abs=1e-10)
+
+
+def _random_convex_polygon(rng):
+    angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=rng.integers(3, 8)))
+    return rng.uniform(0.5, 2.0) * np.c_[np.cos(angles), np.sin(angles)]
+
+
+def test_batched_polygon_rows_do_not_interact():
+    # Rows of different vertex counts share one padded array; each row must
+    # come out as it does alone, and an infinite offset keeps a row whole.
+    rng = np.random.default_rng(25)
+    polys = [_random_convex_polygon(rng) for _ in range(40)]
+    counts = np.array([len(p) for p in polys])
+    verts = np.full((len(polys), counts.max(), 2), 7.0)  # padding is ignored
+    for i, p in enumerate(polys):
+        verts[i, :len(p)] = p
+    normals = rng.normal(size=(len(polys), 2))
+    offsets = rng.normal(scale=0.5, size=len(polys))
+    offsets[::5] = np.inf
+    out, out_counts = clip_polygons(verts, counts, normals, offsets)
+    nodes, weights, owner = fan_quadrature2(out, out_counts)
+    areas = polygon_areas2(out, out_counts)
+    for i, p in enumerate(polys):
+        alone = clip_polygon_halfspace(p, normals[i], offsets[i])
+        assert np.array_equal(out[i, :out_counts[i]], alone)
+        if np.isinf(offsets[i]):
+            assert np.array_equal(alone, p)
+        assert areas[i] == pytest.approx(polygon_area2(alone), abs=1e-15)
+        pts, wts = polygon_quadrature2(alone)
+        assert np.array_equal(nodes[owner == i], pts)
+        assert np.array_equal(weights[owner == i], wts)
+    assert np.all(np.diff(owner) >= 0)
+
+
+def test_plane_sections_match_one_plane_at_a_time():
+    rng = np.random.default_rng(26)
+    for dim in (1, 2, 3):
+        box = Box((0.0,) * dim, tuple(1.0 + k * 0.5 for k in range(dim)))
+        mu = rng.normal(size=dim)
+        mu /= np.linalg.norm(mu)
+        lo, hi = plane_range(box, mu)
+        cs = np.r_[lo - 0.1, lo, np.linspace(lo, hi, 9)[1:-1], hi, hi + 0.1]
+        measures, verts, counts = plane_sections(box, mu, cs)
+        assert list(counts[:2]) == [0, 0] and list(counts[-2:]) == [0, 0]
+        for k, c in enumerate(cs):
+            measure, alone = plane_section(box, mu, c)
+            assert measures[k] == measure
+            if alone is None:
+                assert counts[k] == 0
+            else:
+                assert np.array_equal(verts[k, :counts[k]], alone)
 
 
 def test_planar_polygon_area_tilted_rectangle():
