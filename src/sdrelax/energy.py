@@ -69,12 +69,22 @@ class InterfacePairDensity:
     Evaluated as fn(phase_up, phase_down, trace_up, trace_down, normal).
     bound_C certifies 0 <= value <= C (1 + |a-b| + |c-d|), lipschitz_C the
     Lipschitz bound in the trace gap.
+
+    normal_form, when present, is the profile g with
+    Psi2(a, b, c, d, normal) = g(a, b, (c - d) . normal). A declared g is
+    taken as nonnegative and one-homogeneous in its last argument, hence
+    convex and piecewise linear in it; check_interface_axioms certifies it
+    against fn and certifies both properties (nonnegative,
+    one_homogeneity). When the two design surface densities declare their
+    normal_form too, estimate_interface_cell leaves out its two-plane
+    deformation patterns, which then cannot win.
     """
 
     name: str
     fn: Callable
     bound_C: float = 1.0
     lipschitz_C: float = 1.0
+    normal_form: Optional[Callable] = None
 
     def __call__(self, a, b, c, d, normal):
         return float(self.fn(float(a), float(b),
@@ -186,12 +196,14 @@ def interface_density(name, **params):
     """Factory for built-in interface-pair densities by registry name."""
     if name == "zero":
         return InterfacePairDensity("zero", lambda a, b, c, d, nu: 0.0,
-                                    bound_C=1.0, lipschitz_C=0.0)
+                                    bound_C=1.0, lipschitz_C=0.0,
+                                    normal_form=lambda a, b, q: 0.0 * np.abs(q))
     if name == "phase_gap_normal_jump":
         return InterfacePairDensity(
             "phase_gap_normal_jump",
             lambda a, b, c, d, nu: abs(a - b) * abs(float((c - d) @ nu)),
-            bound_C=1.0, lipschitz_C=1.0)
+            bound_C=1.0, lipschitz_C=1.0,
+            normal_form=lambda a, b, q: abs(a - b) * np.abs(q))
     raise DensityError(f"unknown interface density {name!r}")
 
 
@@ -357,14 +369,25 @@ def check_surface_axioms(Psi, dim=3, sample_count=10000, radius=10.0, seed=0,
     return DensityReport(Psi.name, sample_count, radius, checks)
 
 
+def _pair_sample(a, b, c, d, nu, i):
+    return {"a": float(a[i]), "b": float(b[i]), "c": c[i].tolist(),
+            "d": d[i].tolist(), "normal": nu[i].tolist()}
+
+
 def check_interface_axioms(Psi2, dim=3, sample_count=10000, radius=10.0, seed=0,
                            rel_tol=1e-9, exact_tol=1e-12):
     """Certify the interface-pair density conditions by sampling.
 
     Checks: two-sided growth bound, exact swap symmetry under flipping the
-    normal and both trace pairs, Lipschitz continuity in the trace gap, and
+    normal and both trace pairs, Lipschitz continuity in the trace gap,
     exact vanishing on the two diagonals (equal phases with no deformation
-    jump contribution, and equal traces with no phase jump contribution).
+    jump contribution, and equal traces with no phase jump contribution),
+    one-homogeneity in the trace gap (c - d scaled by t in [0.1, 10], d
+    held), and the declared normal_form g, which fails when
+    |Psi2(a, b, c, d, normal) - g(a, b, (c - d) . normal)| exceeds
+    rel_tol * max(1, |Psi2(a, b, c, d, normal)|) on any sample; a density
+    without one passes that check. Any negative sample fails, as in
+    check_surface_axioms.
     """
     rng = np.random.default_rng(seed)
     a = rng.integers(0, 2, size=sample_count).astype(float)
@@ -374,24 +397,34 @@ def check_interface_axioms(Psi2, dim=3, sample_count=10000, radius=10.0, seed=0,
     c2 = _ball_points(rng, sample_count, dim, radius)
     d2 = _ball_points(rng, sample_count, dim, radius)
     nu = _unit_vectors(rng, sample_count, dim)
+    t = rng.uniform(0.1, 10.0, size=sample_count)
 
     bound_worst, bound_wit = 0.0, {}
     neg_worst = 0.0
     swap_worst, swap_wit = 0.0, {}
     lip_worst, lip_wit = 0.0, {}
     diag_worst, diag_wit = 0.0, {}
+    hom_worst, hom_wit = 0.0, {}
+    form_worst, form_wit = 0.0, {}
     for i in range(sample_count):
         v = Psi2(a[i], b[i], c[i], d[i], nu[i])
         neg_worst = max(neg_worst, -v)
+        if Psi2.normal_form is not None:
+            q = float((c[i] - d[i]) @ nu[i])
+            form = abs(v - float(Psi2.normal_form(a[i], b[i], q))) / max(1.0, abs(v))
+            if form > form_worst:
+                form_worst, form_wit = form, _pair_sample(a, b, c, d, nu, i)
+        scaled = Psi2(a[i], b[i], d[i] + t[i] * (c[i] - d[i]), d[i], nu[i])
+        hom = abs(scaled - t[i] * v) / (t[i] * max(1.0, abs(v)))
+        if hom > hom_worst:
+            hom_worst, hom_wit = hom, {**_pair_sample(a, b, c, d, nu, i), "t": float(t[i])}
         cap = Psi2.bound_C * (1.0 + abs(a[i] - b[i]) + float(np.linalg.norm(c[i] - d[i])))
         if v - cap > bound_worst:
             bound_worst, bound_wit = v - cap, {"a": float(a[i]), "b": float(b[i])}
         swapped = Psi2(b[i], a[i], d[i], c[i], -nu[i])
         gap = abs(v - swapped) / max(1.0, abs(v))
         if gap > swap_worst:
-            swap_worst, swap_wit = gap, {"a": float(a[i]), "b": float(b[i]),
-                                         "c": c[i].tolist(), "d": d[i].tolist(),
-                                         "normal": nu[i].tolist()}
+            swap_worst, swap_wit = gap, _pair_sample(a, b, c, d, nu, i)
         v2 = Psi2(a[i], b[i], c2[i], d2[i], nu[i])
         denom = float(np.linalg.norm((c[i] - d[i]) - (c2[i] - d2[i])))
         if denom > 1e-9:
@@ -413,5 +446,9 @@ def check_interface_axioms(Psi2, dim=3, sample_count=10000, radius=10.0, seed=0,
                        lip_worst, lip_wit),
         ConditionCheck("diagonal_vanishing", "pass" if diag_worst <= exact_tol else "fail",
                        diag_worst, diag_wit),
+        ConditionCheck("one_homogeneity", "pass" if hom_worst <= rel_tol else "fail",
+                       hom_worst, hom_wit),
+        ConditionCheck("normal_form", "pass" if form_worst <= rel_tol else "fail",
+                       form_worst, form_wit),
     )
     return DensityReport(Psi2.name, sample_count, radius, checks)

@@ -294,9 +294,10 @@ def _facet_from_face(dim, axis, fixed, free_bounds, cut_families, normal_phys,
     node jump follows from its piece's centroid jump and jump_grad_free. The
     pieces on which the normal jump changes sign are split along their zero
     lines in one more batch, so one-sign densities integrate exactly; only
-    those halves get a quadrature of their own, again in one call. keep_all
-    retains faces whose jump vanishes (their quadrature geometry is still
-    wanted when another field jumps across the same face).
+    those halves get a quadrature of their own, again in one call. A field
+    whose codim differs from dim has no normal jump, so its pieces are not
+    split. keep_all retains faces whose jump vanishes (their quadrature
+    geometry is still wanted when another field jumps across the same face).
     """
     verts, counts = _face_pieces(dim, free_bounds, cut_families)
     nodes, wts, owner = _piece_rule(dim, verts, counts)
@@ -313,7 +314,8 @@ def _facet_from_face(dim, axis, fixed, free_bounds, cut_families, normal_phys,
     j_c = jump_centroid(_lift(w_c, axis, fixed, dim))
 
     total_area = float(measure.sum())
-    s_grad = jump_grad_free.T @ normal_phys if dim > 1 else np.zeros(0)
+    normal_jump = dim > 1 and jump_grad_free.shape[0] == dim
+    s_grad = jump_grad_free.T @ normal_phys if normal_jump else np.zeros(0)
     if float(s_grad @ s_grad) > 1e-26:  # |s_grad| > 1e-13
         # The normal jump normal . j_c + s_grad . (w - w_c) vanishes on the
         # line s_grad . w = rhs.
@@ -574,19 +576,25 @@ class StepField:
         face_limit, when given, is the inward direction used to resolve
         points lying exactly on a jump plane by taking the limit from that
         side; quadrature on clamp faces needs it because whole jump planes
-        can coincide with the face.
+        can coincide with the face. A point gets the sum of the jumps of the
+        planes at or below it, read from prefix sums at the count of
+        offsets below it (the offsets increase); planes within
+        COINCIDENCE_TOL of a point count as below it when the limit is
+        taken from above, and as above it otherwise (a plane at that
+        distance exactly is placed by rounding).
         """
         total = np.zeros((len(Y), self.codim))
         for fam in self.families:
             t = Y @ fam.normal_ref
-            H = t[:, None] >= fam.offsets[None, :]
-            if face_limit is not None:
-                on = np.abs(t[:, None] - fam.offsets[None, :]) < COINCIDENCE_TOL
-                if np.any(on):
-                    side = float(face_limit @ fam.normal_ref) > 0.0
-                    H = H.copy()
-                    H[on] = side
-            total += H.astype(float) @ fam.jumps
+            if face_limit is None:
+                below = np.searchsorted(fam.offsets, t, side="right")
+            elif float(face_limit @ fam.normal_ref) > 0.0:
+                below = np.searchsorted(fam.offsets, t + COINCIDENCE_TOL, side="left")
+            else:
+                below = np.searchsorted(fam.offsets, t - COINCIDENCE_TOL, side="right")
+            prefix = np.concatenate([np.zeros((1, self.codim)),
+                                     np.cumsum(fam.jumps, axis=0)])
+            total += prefix[below]
         return total
 
     def _inner_values(self, X, face_limit=None):

@@ -13,12 +13,17 @@ estimated with the same competitor philosophy as the plain cell problems:
   ordering and coincidence of the planes matter (every plane section of
   the rotated unit cube has unit area), so the search is an exact
   enumeration over plane patterns plus a one-dimensional optimization of
-  the free intermediate value. Two exact shortcuts keep it small without
+  the free intermediate value. Three exact shortcuts keep it small without
   changing its result: a pattern's cost is fixed by its sequence of
   (phase jumps?, deformation jumps?) events over the occupied slots, so
-  each sequence is scored once; and with nonnegative densities a pattern
+  each sequence is scored once; with nonnegative densities a pattern
   costs at least its number of phase planes, so a pattern whose perimeter
-  cannot beat the best value found is skipped with all its searches.
+  cannot beat the best value found is skipped with all its searches; and
+  when Psi1_0, Psi1_1 and Psi2 all declare a normal_form profile, no
+  two-deformation-plane pattern can beat the one-plane pattern it
+  contains, so those patterns and their intermediate-value searches are
+  left out (route "single-plane"). Without all three profiles the
+  searches still run (route "search"), and there they can win.
 """
 
 from dataclasses import dataclass
@@ -206,14 +211,15 @@ def _chi_patterns(a, b):
     return [(i,) for i in idx]
 
 
-def _u_patterns(c, d):
+def _u_patterns(c, d, two_planes):
     """Slot subsets where the deformation jumps, ordered simplest first."""
     idx = range(len(_SLOTS))
     out = []
     if float(np.linalg.norm(c - d)) == 0.0:
         out.append(())
     out.extend((i,) for i in idx)
-    out.extend(p for p in combinations(idx, 2))
+    if two_planes:
+        out.extend(p for p in combinations(idx, 2))
     return out
 
 
@@ -298,24 +304,39 @@ def estimate_interface_cell(data, ds, budget=None):
     by Nelder-Mead from deterministic starts; meta records those runs
     (searches) and the ones ending unconverged.
 
+    When Psi1_0, Psi1_1 and Psi2 all declare normal_form, the two-plane
+    deformation patterns are left out and no search runs (meta route
+    "single-plane"). This is exact for the certified profile properties:
+    a two-plane cost is then convex and piecewise linear in w . nu with
+    kinks at d . nu and c . nu, so it is least at w = d or w = c, where it
+    equals the cost of a one-plane pattern scored before it, which wins
+    ties. Otherwise every two-plane pattern is searched (route "search").
+    Pattern costs are priced through the densities' fn on both routes.
+
     Assumes Psi1_0, Psi1_1 and Psi2 are nonnegative (checked by the
     "nonnegative" entries of check_surface_axioms and
     check_interface_axioms): a pattern then costs at least its number of
     phase planes, and patterns that cannot beat the best value by the
-    replacement margin are skipped.
+    replacement margin are skipped. meta counts the patterns scored and
+    those skipped, by this bound or because an earlier pattern had the
+    same events.
     """
     ds.require_design()
     budget = budget or OptimizerBudget()
+    single_plane = all(p.normal_form is not None for p in (ds.Psi1_0, ds.Psi1_1, ds.Psi2))
     best = None
     scored = set()
     effort = {"searches": 0, "unconverged": 0}
+    skipped = 0
     for chi_pat in _chi_patterns(data.a, data.b):
-        for u_pat in _u_patterns(data.c, data.d):
+        for u_pat in _u_patterns(data.c, data.d, two_planes=not single_plane):
             if best is not None and len(chi_pat) >= best[0] - 1e-12:
-                continue  # its perimeter alone cannot beat the best value
+                skipped += 1  # its perimeter alone cannot beat the best value
+                continue
             events = _events(chi_pat, u_pat)
             if events in scored:
-                continue  # same cost as an earlier pattern, which wins ties
+                skipped += 1  # same cost as an earlier pattern, which wins ties
+                continue
             scored.add(events)
             cost_of = _compile_cost(data, ds, events)
             if len(u_pat) < 2:
@@ -334,7 +355,9 @@ def estimate_interface_cell(data, ds, budget=None):
     value, chi_pat, u_pat, w_best = best
     intermediate = None if w_best is None else tuple(float(x) for x in w_best)
     meta = {"slots": _SLOTS, "chi_slots": chi_pat, "u_slots": u_pat,
-            "intermediate": intermediate, **effort}
+            "intermediate": intermediate,
+            "route": "single-plane" if single_plane else "search",
+            "patterns_scored": len(scored), "patterns_skipped": skipped, **effort}
     competitor = {"family": "layered-planes",
                   "phase_jump_slots": [_SLOTS[i] for i in chi_pat],
                   "deformation_jump_slots": [_SLOTS[i] for i in u_pat],

@@ -123,7 +123,8 @@ def test_density_checks_demo_prints_the_expected_statuses(capsys):
             dict(zip(surface, ("pass",) * 6)),
         "phase-gap pair kernel |a - b| |(c - d) . nu|":
             dict.fromkeys(("nonnegative", "growth_bound", "swap_symmetry",
-                           "trace_lipschitz", "diagonal_vanishing"), "pass"),
+                           "trace_lipschitz", "diagonal_vanishing",
+                           "one_homogeneity", "normal_form"), "pass"),
         "bulk growth of the squared Frobenius norm":
             {"lipschitz_growth": "pass"},
         "exponential bulk density declared p = 2":

@@ -182,7 +182,50 @@ def test_interface_axioms_for_the_phase_gap_kernel():
         assert check.status == "pass"
     assert {c.name for c in report.checks} == {
         "nonnegative", "growth_bound", "swap_symmetry", "trace_lipschitz",
-        "diagonal_vanishing"}
+        "diagonal_vanishing", "one_homogeneity", "normal_form"}
+
+
+def test_registry_interface_profiles_pass_every_check():
+    for name in DENSITY_KINDS["interface"]:
+        density = interface_density(name)
+        assert density.normal_form is not None, name
+        for dim in (2, 3):
+            report = check_interface_axioms(density, dim=dim, sample_count=2000)
+            assert all(c.status == "pass" for c in report.checks), (name, dim)
+    # A density without a profile passes the profile check.
+    bare = InterfacePairDensity(
+        "bare_gap", lambda a, b, c, d, nu: abs(a - b) * abs(float((c - d) @ nu)))
+    report = check_interface_axioms(bare, dim=2, sample_count=2000)
+    assert report.passed
+    assert report.check("normal_form").worst == 0.0
+
+
+def test_interface_axioms_fail_a_profile_that_disagrees_with_fn():
+    # fn charges |q| but the profile only the positive part of q.
+    mislabeled = InterfacePairDensity(
+        "mislabeled_gap",
+        lambda a, b, c, d, nu: abs(a - b) * abs(float((c - d) @ nu)),
+        normal_form=lambda a, b, q: abs(a - b) * np.maximum(q, 0.0))
+    report = check_interface_axioms(mislabeled, dim=3, sample_count=2000)
+    assert not report.passed
+    assert _status(report, "normal_form") == "fail"
+    assert _status(report, "one_homogeneity") == "pass"
+    wit = report.check("normal_form").witness
+    q = float((np.array(wit["c"]) - np.array(wit["d"])) @ np.array(wit["normal"]))
+    assert wit["a"] != wit["b"] and q < 0.0
+
+
+def test_interface_axioms_fail_a_profile_that_is_not_one_homogeneous():
+    squared = InterfacePairDensity(
+        "squared_gap",
+        lambda a, b, c, d, nu: abs(a - b) * float((c - d) @ nu) ** 2,
+        bound_C=1e3, lipschitz_C=1e3,
+        normal_form=lambda a, b, q: abs(a - b) * q ** 2)
+    report = check_interface_axioms(squared, dim=3, sample_count=2000)
+    assert not report.passed
+    assert _status(report, "one_homogeneity") == "fail"
+    assert _status(report, "normal_form") == "pass"
+    assert report.check("one_homogeneity").witness["t"] != 1.0
 
 
 def test_interface_axioms_flag_a_signed_kernel():

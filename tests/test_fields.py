@@ -545,6 +545,25 @@ def test_grid_fields_keep_the_corner_quick_reject():
     assert facet.area == pytest.approx(1.0)
 
 
+def test_grid_field_facets_when_codim_differs_from_dim():
+    # No normal jump exists, so the faces are not split; the facets still
+    # carry the jumps, and densities reading the jump alone integrate them.
+    mesh = GridMesh(Box((0.0, 0.0), (1.0, 1.0)), (2, 1))
+    scalar = GridField(mesh, np.zeros((2, 1, 2)), [[0.0], [1.0]])
+    (facet,) = scalar.facets()
+    assert facet.area == 1.0
+    assert np.array_equal(facet.constant_jump, [1.0])
+    magnitude = surface_density("jump_magnitude")
+    assert jump_measure(scalar, magnitude) == pytest.approx(1.0, abs=1e-14)
+    sloped = GridField(mesh, np.array([[[0.0, 0.0]], [[0.0, 1.0]]]), [[0.0], [-0.3]])
+    (facet,) = sloped.facets()
+    assert facet.constant_jump is None
+    assert float(facet.quad_weights @ facet.quad_jumps[:, 0]) == pytest.approx(0.2, abs=1e-14)
+    cube = GridMesh(unit_cube(3), (2, 1, 1))
+    pair = GridField(cube, np.zeros((2, 2, 3)), [[0.0, 0.0], [1.0, 2.0]])
+    assert jump_measure(pair, magnitude) == pytest.approx(np.sqrt(5.0), abs=1e-14)
+
+
 def test_broken_ramp_pointwise_values():
     f2 = broken_ramp(2)
     assert evaluate(f2, [0.25]) == pytest.approx([0.25])
@@ -752,6 +771,55 @@ def test_l1_distance_matches_the_per_cell_loop():
         for order, refine in ((4, 1), (3, 2)):
             assert l1_distance(u, v, order, refine) == pytest.approx(
                 _per_cell_l1(u, v, order, refine), abs=1e-12)
+
+
+def _indicator_steps(u, Y, face_limit=None):
+    # Kept construction: a (points x planes) indicator per family.
+    total = np.zeros((len(Y), u.codim))
+    for fam in u.families:
+        t = Y @ fam.normal_ref
+        H = t[:, None] >= fam.offsets[None, :]
+        if face_limit is not None:
+            on = np.abs(t[:, None] - fam.offsets[None, :]) < fields.COINCIDENCE_TOL
+            if np.any(on):
+                side = float(face_limit @ fam.normal_ref) > 0.0
+                H = H.copy()
+                H[on] = side
+        total += H.astype(float) @ fam.jumps
+    return total
+
+
+def test_steps_match_the_indicator_construction():
+    rng = np.random.default_rng(39)
+    tol = fields.COINCIDENCE_TOL
+    crowded = fields.StepField(
+        unit_cube(2), np.zeros((2, 2)), np.zeros(2),
+        (fields.StepFamily(np.array([0.6, 0.8]),
+                           np.array([0.1, 0.5, 0.5 + 0.4 * tol, 0.5 + 0.8 * tol, 0.9]),
+                           rng.normal(size=(5, 2))),
+         fields.StepFamily(np.array([1.0, 0.0]), np.array([0.25]), np.ones((1, 2)))))
+    cases = [crowded, deck_of_cards(7), broken_ramp(5)]
+    for dim in (2, 3):
+        A = rng.normal(size=(dim, dim))
+        B = rng.normal(size=(dim, dim))
+        frame = Frame(tuple(rng.uniform(0.0, np.pi, size=dim * (dim - 1) // 2)), dim)
+        cases.append(staircase_sequence(A, B, frame, 6))
+        cases.append(staircase_sequence(A, B, identity_frame(dim), 4, clamp=False))
+    for u in cases:
+        Y = rng.uniform(-0.2, 1.2, size=(200, u.dim))
+        on_planes = []
+        for fam in u.families:
+            # The band's edge |t - o| = tol itself is decided by rounding.
+            for shift in (0.0, 1e-16, 0.5 * tol, -0.5 * tol, 1.5 * tol, -2 * tol):
+                o = rng.choice(fam.offsets, size=20)
+                Z = rng.uniform(0.0, 1.0, size=(20, u.dim))
+                on_planes.append(Z + (o + shift - Z @ fam.normal_ref)[:, None]
+                                 * fam.normal_ref)
+        Y = np.concatenate([Y] + on_planes)
+        limits = [None] + [s * e for e in np.eye(u.dim) for s in (1.0, -1.0)]
+        for limit in limits:
+            np.testing.assert_allclose(u._steps(Y, limit), _indicator_steps(u, Y, limit),
+                                       rtol=0.0, atol=1e-12)
 
 
 def test_energy_is_additive_over_domain_splits():

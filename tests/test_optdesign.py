@@ -1,6 +1,7 @@
 """Two-phase design energies, phase fields, and interface cell problems."""
 
-from itertools import combinations
+import dataclasses
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -8,7 +9,10 @@ from scipy import optimize
 
 from sdrelax import optdesign
 from sdrelax.energy import (
+    DENSITY_KINDS,
     DensitySet,
+    InterfacePairDensity,
+    SurfaceDensity,
     bulk_density,
     energy,
     interface_density,
@@ -290,37 +294,49 @@ def _reference_cost(data, ds, chi_pat, u_pat, w):
     return cost
 
 
-def _reference_interface_cell(data, ds):
-    budget = OptimizerBudget()
+def _reference_patterns(data, two_planes=True):
+    """Phase and deformation patterns in enumeration order."""
     idx = range(len(optdesign._SLOTS))
     if data.a == data.b:
         chi_patterns = [()] + list(combinations(idx, 2))
     else:
         chi_patterns = [(i,) for i in idx]
     u_patterns = [()] if float(np.linalg.norm(data.c - data.d)) == 0.0 else []
-    u_patterns += [(i,) for i in idx] + list(combinations(idx, 2))
-    options = {"maxiter": budget.max_iterations,
-               "xatol": budget.simplex_tolerance,
-               "fatol": budget.simplex_tolerance}
+    u_patterns += [(i,) for i in idx]
+    if two_planes:
+        u_patterns += list(combinations(idx, 2))
+    return chi_patterns, u_patterns
+
+
+def _reference_interface_cell(data, ds):
+    budget = OptimizerBudget()
+    chi_patterns, u_patterns = _reference_patterns(data)
     best = None
     for chi_pat in chi_patterns:
         for u_pat in u_patterns:
-            w_best = None
-            if len(u_pat) < 2:
-                value = _reference_cost(data, ds, chi_pat, u_pat, None)
-            else:
-                value = np.inf
-                for w0 in (0.5 * (data.c + data.d), data.d.copy(),
-                           data.c.copy()):
-                    res = optimize.minimize(
-                        lambda w: _reference_cost(data, ds, chi_pat, u_pat, w),
-                        w0, method="Nelder-Mead", options=options)
-                    if res.fun < value - 1e-15:
-                        value = float(res.fun)
-                        w_best = tuple(float(x) for x in res.x)
+            value, w_best = _reference_pattern_value(data, ds, chi_pat, u_pat,
+                                                     budget)
             if best is None or value < best[0] - 1e-12:
                 best = (float(value), chi_pat, u_pat, w_best)
     return best
+
+
+def _reference_pattern_value(data, ds, chi_pat, u_pat, budget):
+    """Cost of one pattern, searched from three starts if it has two planes."""
+    if len(u_pat) < 2:
+        return _reference_cost(data, ds, chi_pat, u_pat, None), None
+    options = {"maxiter": budget.max_iterations,
+               "xatol": budget.simplex_tolerance,
+               "fatol": budget.simplex_tolerance}
+    value, w_best = np.inf, None
+    for w0 in (0.5 * (data.c + data.d), data.d.copy(), data.c.copy()):
+        res = optimize.minimize(
+            lambda w: _reference_cost(data, ds, chi_pat, u_pat, w),
+            w0, method="Nelder-Mead", options=options)
+        if res.fun < value - 1e-15:
+            value = float(res.fun)
+            w_best = tuple(float(x) for x in res.x)
+    return value, w_best
 
 
 DS_FREE_PAIRS = DensitySet.design(bulk_density("zero"), bulk_density("zero"),
@@ -365,6 +381,12 @@ def minimize_calls(monkeypatch):
     return calls
 
 
+# The same densities with the pair profile withheld: not every density
+# declares a profile, so the interface cell runs its two-plane searches.
+DS_SEARCH = dataclasses.replace(
+    DS_DESIGN, Psi2=dataclasses.replace(DS_DESIGN.Psi2, normal_form=None))
+
+
 def test_interface_cell_skips_searches_that_cannot_win(minimize_calls):
     nu = np.array([0.6, 0.8])
     c = np.array([0.3, 0.4])
@@ -374,17 +396,17 @@ def test_interface_cell_skips_searches_that_cannot_win(minimize_calls):
     # ulp-sized kernel), so no two-plane search runs.
     for a, b, d in ((0, 1, c), (1, 1, c), (0, 1, near)):
         minimize_calls.clear()
-        estimate_interface_cell(DesignBoundaryData(a, b, c, d, nu), DS_DESIGN)
+        estimate_interface_cell(DesignBoundaryData(a, b, c, d, nu), DS_SEARCH)
         assert len(minimize_calls) == 0, (a, b, d)
     d = np.array([-0.5, 1.1])
     # a != b: five distinct two-plane event sequences, three starts each.
     minimize_calls.clear()
-    estimate_interface_cell(DesignBoundaryData(0, 1, c, d, nu), DS_DESIGN)
+    estimate_interface_cell(DesignBoundaryData(0, 1, c, d, nu), DS_SEARCH)
     assert 0 < len(minimize_calls) <= 15
     # a = b below the two-plane perimeter: one deformation pair sequence.
     minimize_calls.clear()
     sol = estimate_interface_cell(DesignBoundaryData(1, 1, c, d, nu),
-                                  DS_DESIGN)
+                                  DS_SEARCH)
     assert sol.value < 2.0
     assert 0 < len(minimize_calls) <= 3
 
@@ -399,10 +421,129 @@ def test_interface_cell_counts_its_searches(minimize_calls, budget):
                     (1, 0, rng.normal(size=2))):
         minimize_calls.clear()
         sol = estimate_interface_cell(DesignBoundaryData(a, b, c, d, np.array([0.6, 0.8])),
-                                      DS_DESIGN, budget)
+                                      DS_SEARCH, budget)
         assert sol.meta["searches"] == len(minimize_calls)
         assert sol.meta["unconverged"] == minimize_calls.count(False)
         if budget is not None:
             # Three iterations leave every search unconverged.
             assert sol.meta["unconverged"] == sol.meta["searches"]
     assert sol.meta["searches"] > 0
+
+
+def test_interface_cell_route_needs_all_three_profiles():
+    nu = np.array([0.6, 0.8])
+    data = DesignBoundaryData(0, 1, np.array([0.3, 0.4]),
+                              np.array([-0.5, 1.1]), nu)
+    assert estimate_interface_cell(data, DS_DESIGN).meta["route"] == "single-plane"
+    assert estimate_interface_cell(data, DS_FREE_PAIRS).meta["route"] == "single-plane"
+    assert estimate_interface_cell(data, DS_SEARCH).meta["route"] == "search"
+    magnitude = dataclasses.replace(DS_DESIGN,
+                                    Psi1_1=surface_density("jump_magnitude"))
+    assert estimate_interface_cell(data, magnitude).meta["route"] == "search"
+
+
+def test_interface_cell_search_beats_single_planes_without_profiles(minimize_calls):
+    # None of these densities reads the jump through its normal component
+    # alone, and a two-plane layout undercuts every one-plane layout: the
+    # first gap (1, 0) pays 1 in phase 0, the second (0, 1) pays 1 in
+    # phase 1, and the phase plane pays its unit perimeter with no pair
+    # term. Any single deformation plane pays at least 3 for (1, 1).
+    psi1_0 = SurfaceDensity("l1_wide", lambda lam, nu: abs(lam[0]) + 2 * abs(lam[1]))
+    psi1_1 = SurfaceDensity("l1_tall", lambda lam, nu: 2 * abs(lam[0]) + abs(lam[1]))
+    psi2 = InterfacePairDensity(
+        "phase_gap_l1", lambda a, b, c, d, nu: 3 * abs(a - b) * float(np.abs(c - d).sum()))
+    ds = DensitySet.design(bulk_density("zero"), bulk_density("zero"),
+                           psi1_0, psi1_1, psi2)
+    data = DesignBoundaryData(0, 1, np.array([1.0, 1.0]), np.zeros(2),
+                              np.array([1.0, 0.0]))
+    budget = OptimizerBudget()
+    chi_patterns, u_patterns = _reference_patterns(data, two_planes=False)
+    single = min(_reference_pattern_value(data, ds, chi_pat, u_pat, budget)[0]
+                 for chi_pat in chi_patterns for u_pat in u_patterns)
+    assert single == 4.0
+    minimize_calls.clear()
+    sol = estimate_interface_cell(data, ds)
+    assert sol.meta["route"] == "search"
+    assert sol.value == pytest.approx(3.0, abs=1e-9)
+    assert sol.meta["u_slots"] == (0, 2)
+    assert sol.meta["searches"] == len(minimize_calls) == 15
+    value, chi_pat, u_pat, w_best = _reference_interface_cell(data, ds)
+    assert (sol.value, sol.meta["chi_slots"], sol.meta["u_slots"],
+            sol.meta["intermediate"]) == (value, chi_pat, u_pat, w_best)
+
+
+def test_interface_cell_single_plane_route_matches_the_full_enumeration(minimize_calls):
+    # Every combination of dimension, phases, one-sided or two-sided
+    # surface profiles per phase and registry pair density, with c = d in
+    # one case in ten; the oracle still searches every two-plane pattern.
+    surfaces = [surface_density(name) for name in
+                ("abs_normal_jump", "pos_normal_jump", "neg_normal_jump")]
+    pairs = [interface_density(name) for name in DENSITY_KINDS["interface"]]
+    combos = list(product((2, 3), ((0, 0), (0, 1), (1, 0), (1, 1)),
+                          surfaces, surfaces, pairs))
+    rng = np.random.default_rng(2024)
+    zero = bulk_density("zero")
+    for k in range(200):
+        dim, (a, b), psi1_0, psi1_1, psi2 = combos[k % len(combos)]
+        ds = DensitySet.design(zero, zero, psi1_0, psi1_1, psi2)
+        c = rng.uniform(-0.9, 0.9, size=dim)
+        d = c.copy() if k % 10 == 0 else rng.uniform(-0.9, 0.9, size=dim)
+        nu = rng.normal(size=dim)
+        data = DesignBoundaryData(a, b, c, d, nu / np.linalg.norm(nu))
+        minimize_calls.clear()
+        sol = estimate_interface_cell(data, ds)
+        assert len(minimize_calls) == 0
+        assert sol.meta["route"] == "single-plane"
+        assert sol.meta["searches"] == 0
+        expected = _reference_interface_cell(data, ds)
+        assert (sol.value, sol.meta["chi_slots"], sol.meta["u_slots"],
+                sol.meta["intermediate"]) == expected, k
+
+
+def _reference_pattern_counts(data, ds, two_planes):
+    """(scored, skipped) of the pruned, deduplicated enumeration.
+
+    Two patterns are duplicates when the runs of equal (phase, deformation)
+    layers across the cube coincide.
+    """
+    budget = OptimizerBudget()
+    chi_patterns, u_patterns = _reference_patterns(data, two_planes)
+    other = 1 - data.a if data.a == data.b else None
+    best, seen, skipped = None, set(), 0
+    for chi_pat in chi_patterns:
+        for u_pat in u_patterns:
+            if best is not None and len(chi_pat) >= best - 1e-12:
+                skipped += 1
+                continue
+            layers = list(zip(_reference_layers(data.b, data.a, chi_pat, other),
+                              _reference_layers("d", "c", u_pat, "w")))
+            runs = tuple(x for i, x in enumerate(layers)
+                         if i == 0 or x != layers[i - 1])
+            if runs in seen:
+                skipped += 1
+                continue
+            seen.add(runs)
+            value, _ = _reference_pattern_value(data, ds, chi_pat, u_pat, budget)
+            if best is None or value < best - 1e-12:
+                best = value
+    return len(seen), skipped
+
+
+@pytest.mark.parametrize("ds", [DS_DESIGN, DS_FREE_PAIRS, DS_SEARCH],
+                         ids=["phase_gap_normal_jump", "zero", "search"])
+def test_interface_cell_counts_the_patterns_it_scores_and_skips(ds):
+    rng = np.random.default_rng(17)
+    two_planes = ds is DS_SEARCH
+    for k in range(16 if two_planes else 48):
+        dim = 2 + k % 2
+        a, b = (k // 2) % 2, (k // 4) % 2
+        c = rng.uniform(-0.9, 0.9, size=dim)
+        d = c.copy() if k % 8 == 0 else rng.uniform(-0.9, 0.9, size=dim)
+        nu = rng.normal(size=dim)
+        data = DesignBoundaryData(a, b, c, d, nu / np.linalg.norm(nu))
+        sol = estimate_interface_cell(data, ds)
+        scored, skipped = _reference_pattern_counts(data, ds, two_planes)
+        chi_patterns, u_patterns = _reference_patterns(data, two_planes)
+        assert scored + skipped == len(chi_patterns) * len(u_patterns)
+        assert (sol.meta["patterns_scored"], sol.meta["patterns_skipped"]) == (
+            scored, skipped), k
