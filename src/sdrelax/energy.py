@@ -50,6 +50,11 @@ class SurfaceDensity:
     undercuts since f is subadditive; and the surface cell returns the
     midplane f(jump . normal) without a search, since under these
     properties no stack of parallel planes and no tent costs less.
+
+    price(jumps, normals) prices m rows at once and is what jump integrals
+    call (fields.jump_measure, optdesign.design_energy): with a declared f
+    it is one call f(q) on the array q of the m normal jumps, and fn is not
+    called; without one it calls fn once per row.
     """
 
     name: str
@@ -60,6 +65,12 @@ class SurfaceDensity:
 
     def __call__(self, jump, normal):
         return float(self.fn(np.asarray(jump, dtype=float), np.asarray(normal, dtype=float)))
+
+    def price(self, jumps, normals):
+        """Psi of each row of jumps (m, c) and normals (m, n), shape (m,)."""
+        if self.normal_form is None:
+            return _fields.price_rows(self, jumps, normals)
+        return self.normal_form(np.einsum("mc,mc->m", jumps, normals))
 
 
 @dataclass(frozen=True)
@@ -309,8 +320,10 @@ def check_surface_axioms(Psi, dim=3, sample_count=10000, radius=10.0, seed=0,
     Any negative sample fails: the interface cell search skips patterns by
     their perimeter, which bounds their cost only for nonnegative densities.
     A declared normal_form f fails when |Psi(jump, normal) - f(jump . normal)|
-    exceeds rel_tol * max(1, |Psi(jump, normal)|) on any sample; a density
-    without one passes that check.
+    exceeds rel_tol * max(1, |Psi(jump, normal)|) on any sample, or when one
+    call of f on the array of all samples' normal jumps raises or differs
+    from the scalar calls by more than that (price makes this call); a
+    density without one passes that check.
     The lower bound c1 |jump| <= Psi genuinely fails for normal-jump
     densities (a tangential jump costs nothing), so a lower-bound violation
     is reported as a warning rather than a failure.
@@ -327,13 +340,16 @@ def check_surface_axioms(Psi, dim=3, sample_count=10000, radius=10.0, seed=0,
     hom_worst, hom_wit = 0.0, {}
     sub_worst, sub_wit = 0.0, {}
     form_worst, form_wit = 0.0, {}
+    q, f_q = np.zeros(sample_count), np.zeros(sample_count)
     for i in range(sample_count):
         l, l2, n = lam[i], lam2[i], nu[i]
         v = Psi(l, n)
         if -v > neg_worst:
             neg_worst, neg_wit = -v, {"jump": l.tolist(), "normal": n.tolist()}
         if Psi.normal_form is not None:
-            form = abs(v - float(Psi.normal_form(float(l @ n)))) / max(1.0, abs(v))
+            q[i] = float(l @ n)
+            f_q[i] = float(Psi.normal_form(q[i]))
+            form = abs(v - f_q[i]) / max(1.0, abs(v))
             if form > form_worst:
                 form_worst, form_wit = form, {"jump": l.tolist(), "normal": n.tolist()}
         mag = float(np.linalg.norm(l))
@@ -352,6 +368,11 @@ def check_surface_axioms(Psi, dim=3, sample_count=10000, radius=10.0, seed=0,
         if sub > sub_worst:
             sub_worst, sub_wit = sub, {"jump": l.tolist(), "jump2": l2.tolist(),
                                        "normal": n.tolist()}
+    if Psi.normal_form is not None:
+        gap, i, got = _array_call_gap(Psi.normal_form, (q,), f_q)
+        if not gap <= form_worst:
+            form_worst = gap
+            form_wit = {"jump": lam[i].tolist(), "normal": nu[i].tolist(), "array_call": got}
     checks = (
         ConditionCheck("nonnegative", "pass" if neg_worst <= 0.0 else "fail",
                        neg_worst, neg_wit),
@@ -367,6 +388,23 @@ def check_surface_axioms(Psi, dim=3, sample_count=10000, radius=10.0, seed=0,
                        form_worst, form_wit),
     )
     return DensityReport(Psi.name, sample_count, radius, checks)
+
+
+def _array_call_gap(profile, args, scalar_values):
+    """Worst relative gap between one array call of a profile and its scalar calls.
+
+    Returns (gap, sample index, what the array call gave at it). A call that
+    raises or returns another shape gives an infinite gap at sample 0.
+    """
+    try:
+        got = np.asarray(profile(*args), dtype=float)
+    except Exception as exc:  # a user profile may fail in any way on arrays
+        return np.inf, 0, repr(exc)
+    if got.shape != scalar_values.shape:
+        return np.inf, 0, f"shape {got.shape}, expected {scalar_values.shape}"
+    gaps = np.abs(got - scalar_values) / np.maximum(1.0, np.abs(scalar_values))
+    i = int(np.argmax(gaps))
+    return float(gaps[i]), i, float(got[i])
 
 
 def _pair_sample(a, b, c, d, nu, i):
@@ -385,8 +423,10 @@ def check_interface_axioms(Psi2, dim=3, sample_count=10000, radius=10.0, seed=0,
     one-homogeneity in the trace gap (c - d scaled by t in [0.1, 10], d
     held), and the declared normal_form g, which fails when
     |Psi2(a, b, c, d, normal) - g(a, b, (c - d) . normal)| exceeds
-    rel_tol * max(1, |Psi2(a, b, c, d, normal)|) on any sample; a density
-    without one passes that check. Any negative sample fails, as in
+    rel_tol * max(1, |Psi2(a, b, c, d, normal)|) on any sample, or when one
+    call of g on the arrays of all samples raises or differs from the
+    scalar calls by more than that; a density without one passes that
+    check. Any negative sample fails, as in
     check_surface_axioms.
     """
     rng = np.random.default_rng(seed)
@@ -406,12 +446,14 @@ def check_interface_axioms(Psi2, dim=3, sample_count=10000, radius=10.0, seed=0,
     diag_worst, diag_wit = 0.0, {}
     hom_worst, hom_wit = 0.0, {}
     form_worst, form_wit = 0.0, {}
+    q, g_q = np.zeros(sample_count), np.zeros(sample_count)
     for i in range(sample_count):
         v = Psi2(a[i], b[i], c[i], d[i], nu[i])
         neg_worst = max(neg_worst, -v)
         if Psi2.normal_form is not None:
-            q = float((c[i] - d[i]) @ nu[i])
-            form = abs(v - float(Psi2.normal_form(a[i], b[i], q))) / max(1.0, abs(v))
+            q[i] = float((c[i] - d[i]) @ nu[i])
+            g_q[i] = float(Psi2.normal_form(a[i], b[i], q[i]))
+            form = abs(v - g_q[i]) / max(1.0, abs(v))
             if form > form_worst:
                 form_worst, form_wit = form, _pair_sample(a, b, c, d, nu, i)
         scaled = Psi2(a[i], b[i], d[i] + t[i] * (c[i] - d[i]), d[i], nu[i])
@@ -436,6 +478,11 @@ def check_interface_axioms(Psi2, dim=3, sample_count=10000, radius=10.0, seed=0,
         if max(same_phase, same_trace) > diag_worst:
             diag_worst = max(same_phase, same_trace)
             diag_wit = {"a": float(a[i]), "b": float(b[i])}
+    if Psi2.normal_form is not None:
+        gap, i, got = _array_call_gap(Psi2.normal_form, (a, b, q), g_q)
+        if not gap <= form_worst:
+            form_worst = gap
+            form_wit = {**_pair_sample(a, b, c, d, nu, i), "array_call": got}
     checks = (
         ConditionCheck("nonnegative", "pass" if neg_worst <= 0.0 else "fail", neg_worst),
         ConditionCheck("growth_bound", "pass" if bound_worst <= rel_tol else "fail",

@@ -24,7 +24,7 @@ sections of a jump family come from one batched call.
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import product
 
 import numpy as np
@@ -351,11 +351,11 @@ def _facet_from_face(dim, axis, fixed, free_bounds, cut_families, normal_phys,
                  plane_axis=axis, plane_offset=plane_offset)
 
 
-def grid_face_facet(u, face, keep_all=False, quick_reject=False):
+def grid_face_facet(u, face, keep_all=False):
     """Facet of a grid field across one interior mesh face, or None.
 
     face is one entry of u.mesh.interior_faces(); the jump is the affine
-    difference of the two cells' maps. With quick_reject the face is
+    difference of the two cells' maps. Unless keep_all is set, the face is
     dropped before any quadrature when that jump is within JUMP_TOL at every
     face corner (and at the free-coordinate origin), which bounds an affine
     jump over the face.
@@ -367,7 +367,7 @@ def grid_face_facet(u, face, keep_all=False, quick_reject=False):
     # Jump in reference coordinates: dA_ref y + (offset difference).
     grad_free = dA_ref[:, free_axes]
     const_part = dA_ref[:, axis] * fixed + (u.offsets[fhi] - u.offsets[flo])
-    if quick_reject:
+    if not keep_all:
         corners = np.array(list(product(*bounds)), dtype=float)
         corner_vals = const_part + corners @ grad_free.T
         if max(float(np.max(np.abs(const_part))),
@@ -472,8 +472,7 @@ class GridField:
 
     @cached_property
     def _facets(self):
-        facets = (grid_face_facet(self, face, quick_reject=True)
-                  for face in self.mesh.interior_faces())
+        facets = (grid_face_facet(self, face) for face in self.mesh.interior_faces())
         return tuple(f for f in facets if f is not None)
 
     def facets(self):
@@ -704,21 +703,41 @@ def average_gradient(u):
     return acc / total
 
 
+def price_rows(psi, jumps, normals):
+    """psi(jump, normal) for each row of jumps (m, c) and normals (m, n).
+
+    The one row-by-row pricing: densities without a batched form, and plain
+    callables, are priced through it.
+    """
+    return np.array([float(psi(j, n)) for j, n in zip(jumps, normals)])
+
+
 def jump_measure(u, psi):
-    """Integral of psi(jump, normal) over the field's jump set."""
+    """Integral of psi(jump, normal) over the field's jump set.
+
+    A density's price method (SurfaceDensity.price) is called once for all
+    constant-jump facets together and once per quadrature facet; a plain
+    callable psi is priced row by row.
+    """
+    price = getattr(psi, "price", None) or partial(price_rows, psi)
+    facets = u.facets()
+    const = [f for f in facets if f.constant_jump is not None]
     total = 0.0
-    for f in u.facets():
-        if f.constant_jump is not None:
-            total += f.area * float(psi(f.constant_jump, f.normal))
-        else:
-            total += float(sum(w * psi(j, f.normal)
-                               for w, j in zip(f.quad_weights, f.quad_jumps)))
+    if const:
+        areas = np.array([f.area for f in const])
+        total += float(areas @ price(np.array([f.constant_jump for f in const]),
+                                     np.array([f.normal for f in const])))
+    for f in facets:
+        if f.constant_jump is None:
+            normals = np.broadcast_to(f.normal, f.quad_points.shape)
+            total += float(f.quad_weights @ price(f.quad_jumps, normals))
     return total
 
 
 def singular_total_variation(u):
     """Total variation carried by the jump set (Euclidean jump size)."""
-    return jump_measure(u, lambda lam, nu: float(np.linalg.norm(lam)))
+    return float(sum(f.quad_weights @ np.linalg.norm(f.quad_jumps, axis=1)
+                     for f in u.facets()))
 
 
 def total_derivative(u):

@@ -175,9 +175,8 @@ def design_energy(chi, u, ds):
         if not phase_jumps:
             if facet is not None:
                 psi1 = ds.Psi1_1 if phase_lo == 1 else ds.Psi1_0
-                total += float(sum(w * psi1(j, facet.normal)
-                                   for w, j in zip(facet.quad_weights,
-                                                   facet.quad_jumps)))
+                normals = np.broadcast_to(facet.normal, facet.quad_points.shape)
+                total += float(facet.quad_weights @ psi1.price(facet.quad_jumps, normals))
             continue
         area = float(np.prod([b - a for a, b in bounds])) if bounds else 1.0
         total += area  # perimeter of the phase interface

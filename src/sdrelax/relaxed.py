@@ -114,7 +114,7 @@ def disarrangement_trace_integral(sd):
 
 def jump_trace_integral(u):
     """Integral of jump . normal over the field's jump set."""
-    return jump_measure(u, lambda lam, nu: float(lam @ nu))
+    return float(sum(f.quad_weights @ (f.quad_jumps @ f.normal) for f in u.facets()))
 
 
 @dataclass(frozen=True)

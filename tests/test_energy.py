@@ -174,6 +174,47 @@ def test_surface_axioms_certify_the_declared_normal_form():
     assert _status(report, "normal_form") == "pass"
 
 
+def test_surface_axioms_call_the_declared_normal_form_on_arrays():
+    # Every scalar sample agrees, but price calls the profile on an array of
+    # normal jumps, where max(q, 0.0) raises.
+    scalar_only = SurfaceDensity("scalar_only_pos",
+                                 lambda lam, nu: max(0.0, float(lam @ nu)),
+                                 normal_form=lambda q: max(q, 0.0))
+    report = check_surface_axioms(scalar_only, dim=3, sample_count=2000)
+    assert [c.name for c in report.checks if c.status == "fail"] == ["normal_form"]
+    check = report.check("normal_form")
+    assert check.worst == np.inf
+    assert "ValueError" in check.witness["array_call"]
+    # A profile that answers arrays with one number has the wrong shape.
+    flat = SurfaceDensity("flat_zero", lambda lam, nu: 0.0,
+                          normal_form=lambda q: 0.0)
+    report = check_surface_axioms(flat, dim=2, sample_count=200)
+    assert _status(report, "normal_form") == "fail"
+    assert "shape" in report.check("normal_form").witness["array_call"]
+    # One that computes something else on arrays fails at a sample where
+    # the two disagree.
+    split = SurfaceDensity(
+        "split_abs", lambda lam, nu: abs(float(lam @ nu)),
+        normal_form=lambda q: np.abs(q) if np.ndim(q) == 0 else np.maximum(q, 0.0))
+    report = check_surface_axioms(split, dim=3, sample_count=2000)
+    check = report.check("normal_form")
+    assert check.status == "fail" and np.isfinite(check.worst)
+    lam, nu = np.array(check.witness["jump"]), np.array(check.witness["normal"])
+    assert float(lam @ nu) < 0.0 and check.witness["array_call"] == 0.0
+
+
+def test_interface_axioms_call_the_declared_normal_form_on_arrays():
+    scalar_only = InterfacePairDensity(
+        "scalar_only_gap",
+        lambda a, b, c, d, nu: abs(a - b) * abs(float((c - d) @ nu)),
+        normal_form=lambda a, b, q: abs(a - b) * max(q, -q))
+    report = check_interface_axioms(scalar_only, dim=3, sample_count=2000)
+    assert [c.name for c in report.checks if c.status == "fail"] == ["normal_form"]
+    check = report.check("normal_form")
+    assert check.worst == np.inf
+    assert "ValueError" in check.witness["array_call"]
+
+
 def test_interface_axioms_for_the_phase_gap_kernel():
     report = check_interface_axioms(interface_density("phase_gap_normal_jump"),
                                     dim=2)

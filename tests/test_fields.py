@@ -539,10 +539,25 @@ def test_grid_fields_keep_the_corner_quick_reject():
     u = GridField(mesh, grads, np.zeros((2, 2)))
     face, = mesh.interior_faces()
     assert u.facets() == ()
-    assert grid_face_facet(u, face, quick_reject=True) is None
-    facet = grid_face_facet(u, face)
+    assert grid_face_facet(u, face) is None
+    facet = grid_face_facet(u, face, keep_all=True)
     assert facet is not None and facet.constant_jump is None
     assert facet.area == pytest.approx(1.0)
+
+
+def test_design_energy_keeps_the_corner_quick_reject():
+    # The two-cell field above with both phases alike: the design energy
+    # drops the same face as facets() does, so it equals the plain energy.
+    mesh = GridMesh(Box((0.0, 0.0), (1.0, 1.0)), (2, 1))
+    grads = np.stack([np.eye(2), np.eye(2) + 1e-11 * np.outer([1.0, 0.0], [0.0, 1.0])])
+    u = GridField(mesh, grads, np.zeros((2, 2)))
+    W = bulk_density("frobenius_power", p=2.0)
+    for name in ("abs_normal_jump", "jump_magnitude"):
+        psi = surface_density(name)
+        ds = DensitySet.design(W, W, psi, psi, interface_density("phase_gap_normal_jump"))
+        for phase in (0, 1):
+            chi = PhaseField.constant(mesh, phase)
+            assert design_energy(chi, u, ds) == energy(u, DensitySet.simple(W, psi))
 
 
 def test_grid_field_facets_when_codim_differs_from_dim():
