@@ -30,7 +30,9 @@ low-discrepancy lattice, never from a random source.
 Every frame is priced by core.frame_cost, which calls Psi once per frame
 column. The one exception is the frame grid of a square M under a density
 declaring a normal_form profile f (Psi(jump, normal) = f(jump . normal)):
-it reads f off the diagonal of R^T M R, built in stages from closed forms.
+it reads f off the diagonal of R^T M R, built in stages from closed forms,
+and in 3-D prices one last angle per row of the grid (see
+frame_grid_minimum).
 """
 
 import itertools
@@ -252,19 +254,26 @@ def _rotated_diagonal(a, sym, b, c, s):
     return cc * a + cs * sym + ss * b, ss * a - cs * sym + cc * b
 
 
-def _normal_form_grid_costs(M, profile, resolution):
-    """Grid frame costs sum_i f(r_i . M r_i) of a square M, in grid order.
+def _normal_form_grid_costs(M, psi, resolution):
+    """Grid frame costs sum_i f(r_i . M r_i) of a square M, as (costs, last).
 
-    In 2-D the diagonal of R^T M R is one closed form over the angles. In
-    3-D, R = P G12(t3) with P = G01(t1) G02(t2): column 0 of R is p0, and
-    columns 1 and 2 rotate p1, p2 by t3, so the diagonal comes from the
-    resolution^2 quadratic forms p_i . M p_j and one closed form along t3.
+    In 2-D the diagonal of R^T M R is one closed form over the angles, costs
+    holds every grid frame and last is None. In 3-D, R = P G12(t3) with
+    P = G01(t1) G02(t2): column 0 of R is p0, and columns 1 and 2 rotate p1,
+    p2 by t3, so the diagonal comes from the resolution^2 quadratic forms
+    p_i . M p_j and one closed form along t3, m +- x(t3) with
+    x(t3) = h cos 2t3 + g sin 2t3. costs holds one cost per (t1, t2) row, in
+    row order, at the row's grid t3 of smallest |x| (frame_grid_minimum
+    says why that t3 is a cheapest one), ties to the lowest index, and last
+    that t3's grid index. Only the grid points on either side of the two
+    zeros of x, and index 0 for an x that vanishes identically, are compared.
     """
+    f = psi.profile_values
     th = np.arange(resolution) * np.pi / resolution
     c, s = np.cos(th), np.sin(th)
     if M.shape[1] == 2:
         d0, d1 = _rotated_diagonal(M[0, 0], M[0, 1] + M[1, 0], M[1, 1], c, s)
-        return profile(d0) + profile(d1)
+        return f(d0) + f(d1), None
     c1, s1 = c[:, None], s[:, None]
     c2, s2 = (np.broadcast_to(v, (resolution, resolution)) for v in (c, s))
     p0 = np.stack([c1 * c2, s1 * c2, s2], axis=-1)
@@ -275,21 +284,46 @@ def _normal_form_grid_costs(M, profile, resolution):
         return np.einsum("...j,jk,...k->...", u, A, v)
 
     d0 = form(p0, M, p0)
-    d1, d2 = _rotated_diagonal(form(p1, M, p1)[..., None],
-                               form(p1, M + M.T, p2)[..., None],
-                               form(p2, M, p2)[..., None], c, s)
-    return (profile(d0)[..., None] + profile(d1) + profile(d2)).reshape(-1)
+    a, sym, b = form(p1, M, p1), form(p1, M + M.T, p2), form(p2, M, p2)
+    h, g = 0.5 * (a - b), 0.5 * sym
+    # x = r cos(2 t3 - phi) vanishes at t3 = phi / 2 + pi / 4 (mod pi / 2);
+    # zero is that t3 in grid steps.
+    zero = (np.arctan2(g, h) / np.pi + 0.5) * (0.5 * resolution)
+    first, second = np.floor(zero), np.floor(zero + 0.5 * resolution)
+    candidates = np.stack([np.zeros_like(first), first, first + 1.0,
+                           second, second + 1.0]).astype(np.intp)
+    # Sorted, so that argmin takes the lowest index among ties.
+    candidates = np.sort(candidates % resolution, axis=0)
+    x = np.abs(h * np.cos(2.0 * th)[candidates] + g * np.sin(2.0 * th)[candidates])
+    last = np.take_along_axis(candidates, x.argmin(axis=0)[None], axis=0)[0]
+    d1, d2 = _rotated_diagonal(a, sym, b, c[last], s[last])
+    return (f(d0) + f(d1) + f(d2)).reshape(-1), last.reshape(-1)
 
 
 def frame_grid_minimum(M, psi, resolution=None):
     """Cheapest grid frame for M and the value there, as (value, frame).
 
     Grid angles run through multiples of pi/resolution per Givens angle,
-    the flat grid index running fastest in the last angle; resolution is
-    None (the dimension's default) or an integer >= 1. For a square M and a
-    density declaring normal_form the costs come from closed forms for the
-    diagonal of R^T M R, built in stages; any other density is priced by
-    frame_cost at every grid frame, resolution^3 of them in 3-D.
+    the grid order running fastest in the last angle, and ties resolve to
+    the first frame in that order; resolution is None (the dimension's
+    default) or an integer >= 1. Any density without normal_form, or a
+    non-square M, is priced by frame_cost at every grid frame,
+    resolution^3 of them in 3-D.
+
+    For a square M and a density declaring normal_form f the costs
+    sum_i f(r_i . M r_i) come from closed forms for the diagonal of
+    R^T M R, built in stages. In 3-D each (t1, t2) row is priced at one
+    last angle t3 only: along t3 the two rotated diagonal entries are
+    m + x(t3) and m - x(t3), with m fixed and x(t3) = r cos(2 t3 - phi). A
+    declared f is certified nonnegative and one-homogeneous, so it is
+    convex, and f(m + x) + f(m - x) is even and convex in x, hence
+    nondecreasing in |x|. The grid t3 of smallest |x| (ties to the lowest
+    index) is thus a cheapest one of its row; it is one of the grid points
+    on either side of the zeros of x, which are all that is compared. The
+    first minimal row gives the frame. This uses only the certified
+    properties of f, never a closed form of the relaxed density, and the
+    value is a grid cost, so it stays within rounding of the full grid's
+    minimum; among frames tied up to rounding another one may be returned.
     """
     M = as_matrix(M)
     dim = M.shape[1]
@@ -299,19 +333,19 @@ def frame_grid_minimum(M, psi, resolution=None):
         frame = identity_frame(1)
         return frame_cost(M, frame, psi), frame
     resolution = resolution or DEFAULT_GRID_RESOLUTION[dim]
-    profile = getattr(psi, "normal_form", None)
-    if profile is not None and M.shape[0] == dim:
-        costs = _normal_form_grid_costs(M, profile, resolution)
+    last = None
+    if getattr(psi, "normal_form", None) is not None and M.shape[0] == dim:
+        costs, last = _normal_form_grid_costs(M, psi, resolution)
     else:
         th = np.arange(resolution) * np.pi / resolution
         costs = np.array([frame_cost(M, Frame(angles, dim), psi)
                           for angles in itertools.product(th, repeat=ANGLE_COUNT[dim])])
     best = int(np.argmin(costs))
-    if dim == 2:
-        angles = (best * np.pi / resolution,)
+    if last is None:
+        indices = np.unravel_index(best, (resolution,) * ANGLE_COUNT[dim])
     else:
-        multi = np.unravel_index(best, (resolution,) * 3)
-        angles = tuple(k * np.pi / resolution for k in multi)
+        indices = (*divmod(best, resolution), int(last[best]))
+    angles = tuple(k * np.pi / resolution for k in indices)
     return float(costs[best]), Frame(_canonical_angles(angles), dim)
 
 

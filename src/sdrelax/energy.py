@@ -54,7 +54,9 @@ class SurfaceDensity:
     price(jumps, normals) prices m rows at once and is what jump integrals
     call (fields.jump_measure, optdesign.design_energy): with a declared f
     it is one call f(q) on the array q of the m normal jumps, and fn is not
-    called; without one it calls fn once per row.
+    called; without one it calls fn once per row. That call, and the
+    frame grid's calls of f, go through profile_values, which raises
+    DensityError when f fails on an array.
     """
 
     name: str
@@ -70,7 +72,25 @@ class SurfaceDensity:
         """Psi of each row of jumps (m, c) and normals (m, n), shape (m,)."""
         if self.normal_form is None:
             return _fields.price_rows(self, jumps, normals)
-        return self.normal_form(np.einsum("mc,mc->m", jumps, normals))
+        return self.profile_values(np.einsum("mc,mc->m", jumps, normals))
+
+    def profile_values(self, q):
+        """The declared normal_form f applied to the array q, shape q.shape.
+
+        DensityError, naming the density, when f raises TypeError or
+        ValueError on the array (a profile written for scalars) or returns
+        another shape.
+        """
+        try:
+            values = np.asarray(self.normal_form(q), dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise DensityError(f"normal_form of surface density {self.name!r}"
+                               f" fails on an array: {exc}") from exc
+        if values.shape != np.shape(q):
+            raise DensityError(f"normal_form of surface density {self.name!r} returns"
+                               f" shape {values.shape} for an array of shape"
+                               f" {np.shape(q)}")
+        return values
 
 
 @dataclass(frozen=True)

@@ -139,19 +139,91 @@ def _stack_grid_costs(M, psi, resolution):
                      for Rr in R])
 
 
+def _two_to_one_profile(q):
+    return 2.0 * np.maximum(q, 0.0) + 0.5 * np.maximum(-q, 0.0)
+
+
+# A user profile 2 q+ + 0.5 q-: convex, one-homogeneous and not even.
+PSI_TWO_TO_ONE = SurfaceDensity(
+    "two_to_one_normal_jump",
+    lambda lam, nu: float(_two_to_one_profile(float(lam @ nu))),
+    upper_C1=2.0, normal_form=_two_to_one_profile)
+
+
+def test_two_to_one_profile_is_certified():
+    for dim in (2, 3):
+        report = check_surface_axioms(PSI_TWO_TO_ONE, dim=dim, sample_count=2000)
+        statuses = {c.name: c.status for c in report.checks}
+        assert statuses.pop("lower_bound") == "warn"
+        assert set(statuses.values()) == {"pass"}, statuses
+
+
+def _grid_matrices(rng, dim):
+    """Random and degenerate square matrices, some at extreme scales."""
+    S = rng.normal(size=(dim, dim))
+    rank_one = np.outer(rng.normal(size=dim), rng.normal(size=dim))
+    out = [rng.normal(size=(dim, dim)), rng.normal(size=(dim, dim)),
+           np.zeros((dim, dim)), -2.5 * np.eye(dim), S + S.T,
+           np.diag(rng.normal(size=dim)), rank_one]
+    for scale in (1e-8, 1e8):
+        out += [scale * rng.normal(size=(dim, dim)), scale * rank_one]
+    return out
+
+
 @pytest.mark.parametrize("dim", [2, 3])
-@pytest.mark.parametrize("resolution", [6, 24, None])
+@pytest.mark.parametrize("resolution", [1, 2, 3, 6, 7, 24, None])
 def test_staged_grid_matches_the_rotation_stack(dim, resolution):
     rng = np.random.default_rng(67)
     n = resolution or DEFAULT_GRID_RESOLUTION[dim]
-    for name in ("abs_normal_jump", "pos_normal_jump", "neg_normal_jump"):
-        psi = surface_density(name)
-        for _ in range(3):
-            M = rng.normal(size=(dim, dim))
+    densities = [surface_density(name)
+                 for name in ("abs_normal_jump", "pos_normal_jump", "neg_normal_jump")]
+    for psi in densities + [PSI_TWO_TO_ONE]:
+        for M in _grid_matrices(rng, dim):
             value, frame = frame_grid_minimum(M, psi, resolution)
-            assert value == pytest.approx(np.min(_stack_grid_costs(M, psi, n)), abs=1e-12)
-            # Tied grid points may resolve to another frame; it must attain the value.
-            assert frame_cost(M, frame, psi) == pytest.approx(value, abs=1e-12)
+            scale = max(1.0, float(np.abs(M).max()))
+            # Within rounding of the brute-force minimum, and so never below it
+            # by more than rounding. For entries of order one, 1e-13 * scale
+            # is below the absolute 1e-12 this test held before.
+            tol = 1e-13 * scale
+            assert abs(value - np.min(_stack_grid_costs(M, psi, n))) <= tol
+            # Tied grid points may resolve to another frame; it must attain the
+            # value. frame_cost checks its reconstruction to an absolute 1e-10,
+            # so it prices M / scale, and f is one-homogeneous.
+            assert abs(scale * frame_cost(M / scale, frame, psi) - value) <= tol
+            if not M.any():
+                # Every frame ties exactly: the first one wins.
+                assert frame.angles == (0.0,) * len(frame.angles)
+
+
+@pytest.mark.parametrize("resolution", [7, 24, None])
+def test_three_dimensional_grid_prices_one_last_angle_per_row(resolution):
+    # The profile sees resolution^2 values per diagonal entry, never the
+    # resolution^3 of the full grid.
+    sizes = []
+
+    def recorded(q):
+        sizes.append(np.size(q))
+        return np.abs(q)
+
+    psi = dataclasses.replace(PSI_ABS, normal_form=recorded)
+    n = resolution or DEFAULT_GRID_RESOLUTION[3]
+    M = np.random.default_rng(68).normal(size=(3, 3))
+    value, frame = frame_grid_minimum(M, psi, resolution)
+    assert sizes == [n * n] * 3
+    assert value == pytest.approx(np.min(_stack_grid_costs(M, PSI_ABS, n)), abs=1e-12)
+    assert frame_cost(M, frame, PSI_ABS) == pytest.approx(value, abs=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_three_dimensional_grid_survives_overflowing_rows():
+    # Near the largest float, M + M^T and the quadratic forms overflow and
+    # rows turn NaN; the last-angle choice must still pick a grid index, and
+    # the value is not finite, as on the full grid.
+    M = 1e308 * np.random.default_rng(70).normal(size=(3, 3))
+    value, frame = frame_grid_minimum(M, PSI_ABS, 7)
+    assert not np.isfinite(value)
+    assert not np.isfinite(np.min(_stack_grid_costs(M, PSI_ABS, 7)))
+    assert np.allclose(np.array(frame.angles) * 7 / np.pi % 1.0, 0.0)
 
 
 def test_grid_without_normal_form_prices_every_rotation():

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import sdrelax
 from sdrelax.cli import main, run
 from sdrelax.errors import ConfigError
 from sdrelax.fields import evaluate, load_field
@@ -219,8 +220,12 @@ def test_console_script_round_trip(tmp_path):
     cfg = _write_config(tmp_path, "seq.json", {
         "command": "sequence", "example": "deck-of-cards",
         "parameters": {"n": [1, 2, 4]}, "output_path": out})
+    # The child imports the same sdrelax as this test, installed or not.
+    src = os.path.dirname(os.path.dirname(sdrelax.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "sdrelax.cli",
-                           "--config", cfg], capture_output=True, text=True)
+                           "--config", cfg], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     lines = [l for l in _read_output(out).splitlines()
              if not l.startswith("#")]

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from sdrelax.cell import frame_grid_minimum
 from sdrelax.core import Frame, identity_frame
 from sdrelax.energy import (
     DENSITY_KINDS,
@@ -14,6 +15,7 @@ from sdrelax.energy import (
     interface_density,
     surface_density,
 )
+from sdrelax.errors import DensityError
 from sdrelax.fields import (
     GridField,
     GridMesh,
@@ -170,3 +172,30 @@ def test_price_rows_equal_the_scalar_calls(dim):
         else:
             assert np.allclose(rows, want, rtol=1e-14, atol=1e-14), psi.name
         assert psi.price(jumps[:0], normals[:0]).shape == (0,)
+
+
+# Profiles that check_surface_axioms fails on its array call: one works only
+# on scalars (max of an array is ambiguous), one sums an array to a number.
+SCALAR_ONLY = SurfaceDensity("scalar_only_pos_normal_jump",
+                             lambda lam, nu: max(0.0, float(lam @ nu)),
+                             normal_form=lambda q: max(q, 0.0))
+SUMMING = SurfaceDensity("summing_abs_normal_jump",
+                         lambda lam, nu: abs(float(lam @ nu)),
+                         normal_form=lambda q: float(np.sum(np.abs(q))))
+
+
+@pytest.mark.parametrize("psi", [SCALAR_ONLY, SUMMING], ids=lambda p: p.name)
+def test_a_profile_failing_on_arrays_raises_a_density_error(psi):
+    rng = np.random.default_rng(97)
+    A, B = rng.normal(size=(3, 3)), rng.normal(size=(3, 3))
+    with pytest.raises(DensityError, match=psi.name):
+        jump_measure(staircase_sequence(A, B, _random_frame(rng, 3), 4), psi)
+    u = random_structured_deformation(5, dim=2, resolution=3, continuous=False).g
+    chi = PhaseField(u.mesh, np.zeros(u.mesh.n_cells, dtype=int))
+    W = bulk_density("zero")
+    ds = DensitySet.design(W, W, psi, psi, interface_density("phase_gap_normal_jump"))
+    with pytest.raises(DensityError, match=psi.name):
+        design_energy(chi, u, ds)
+    for M in (np.diag([1.0, -2.0, 0.5]), np.diag([1.0, -2.0])):
+        with pytest.raises(DensityError, match=psi.name):
+            frame_grid_minimum(M, psi)
