@@ -12,13 +12,12 @@ perimeter term.
 from .cell import (CellSolution, OptimizerBudget, estimate_relaxed_bulk,
                    estimate_relaxed_surface, frame_grid_minimum,
                    realize_bulk_competitor, realize_surface_competitor)
-from .core import (Frame, RankOneDecomposition, as_matrix, as_unit_vector,
-                   as_vector, decompose_by_frame, disarrangement_tensor,
+from .core import (Frame, as_matrix, as_unit_vector, as_vector,
+                   decompose_by_frame, disarrangement_tensor,
                    frame_angles_from_matrix, frame_cost, frame_matrix,
                    identity_frame, relaxed_bulk_abs, relaxed_bulk_minus,
                    relaxed_bulk_plus, relaxed_surface_abs,
-                   relaxed_surface_minus, relaxed_surface_plus,
-                   trace_of_decomposition)
+                   relaxed_surface_minus, relaxed_surface_plus)
 from .energy import (BulkDensity, DensitySet, InterfacePairDensity,
                      SurfaceDensity, bulk_density, check_bulk_growth,
                      check_interface_axioms, check_surface_axioms, energy,

@@ -15,6 +15,10 @@ competitor families whose energies have closed forms:
   the closed-form and lattice starts are priced first, and when one of them
   costs the floor it is returned with no search; otherwise, and for every
   other density, a multistart Nelder-Mead search runs from those starts.
+  One start makes that diagonal constant, tr(A - B) / n, in closed form
+  (one Givens angle in 2-D, two rotations of an eigenbasis in 3-D); it
+  costs n f(tr(A - B) / n) = f(tr(A - B)), so up to rounding the floor is
+  reached for every square A - B, traceless ones included.
   A dense frame-grid oracle provides an independent upper-bound check.
 * surface: a single midplane (cost exactly Psi(jump, normal)) and
   two-plane tent profiles. The surface densities of the relaxation setting
@@ -60,8 +64,9 @@ class OptimizerBudget:
     restarts, max_iterations and simplex_tolerance steer each Nelder-Mead
     search. The bulk frame search of a square A - B under a density
     declaring normal_form runs none when one of its closed-form starts
-    already costs the trace floor f(tr(A - B)), so there restarts only
-    matters when no start reaches the floor. n_schedule lists the staircase
+    already costs the trace floor f(tr(A - B)), which the equalizing start
+    does up to rounding, so there restarts only matters when rounding
+    leaves every start above the floor. n_schedule lists the staircase
     refinements used when a competitor is realized; certify=True realizes
     them eagerly and stores the energies in the solution metadata.
 
@@ -125,7 +130,6 @@ class CellSolution:
     value: float
     kind: str                      # "bulk", "surface" or "interface"
     frame: Frame = None            # bulk: minimizing frame
-    decomposition: object = None   # bulk: rank-one parts over that frame
     splits: tuple = None           # surface: ((fraction, offset), ...) if planar
     refinement_n: int = None
     competitor: dict = None
@@ -203,43 +207,57 @@ def _equalizing_angles_2d(M):
     return [((phi + 0.5 * np.pi) / 2.0,), ((phi - 0.5 * np.pi) / 2.0,)]
 
 
-def _equalizing_frame_3d(M, sweeps=12):
-    """Jacobi-style sweeps driving the diagonal of R^T M R to a constant."""
-    R = _special_orthogonal(np.linalg.eigh(0.5 * (M + M.T))[1])
-    for _ in range(sweeps):
-        for i, j in ((0, 1), (0, 2), (1, 2)):
-            C = R.T @ M @ R
-            D = C[i, i] - C[j, j]
-            S = 0.5 * (C[i, j] + C[j, i])
-            if abs(D) < 1e-15 and abs(S) < 1e-15:
-                continue
-            phi = np.arctan2(S, 0.5 * D)
-            theta = (phi + 0.5 * np.pi) / 2.0
-            G = np.eye(3)
-            c, s = np.cos(theta), np.sin(theta)
-            G[i, i] = c
-            G[j, j] = c
-            G[i, j] = -s
-            G[j, i] = s
-            R = R @ G
-    return _special_orthogonal(R)
+def _givens(theta, i, j):
+    """3x3 rotation G by theta in the (i, j) plane: R @ G turns R's column i to j."""
+    G = np.eye(3)
+    G[i, i] = G[j, j] = math.cos(theta)
+    G[j, i] = math.sin(theta)
+    G[i, j] = -G[j, i]
+    return G
+
+
+def _equalizing_frame_3d(M, w, V):
+    """Rotation R whose R^T M R has the constant diagonal tr M / 3.
+
+    w (ascending) and V (det +1) are the eigenvalues and eigenvectors of
+    sym(M), which has the diagonal of M in every frame. Turning column 0 of
+    V towards column 2 by s^2 = (t - w0) / (w2 - w0) sets diagonal entry 0
+    to t = tr M / 3, which lies in [w0, w2]; the other two columns then hold
+    a block of trace 2 t, which the 2-D closed form equalizes. For w0 = w2,
+    sym(M) = t I and V already does.
+    """
+    t = (w[0] + w[1] + w[2]) / 3.0
+    R = V
+    if w[2] > w[0]:
+        s2 = min(1.0, max(0.0, (t - w[0]) / (w[2] - w[0])))
+        R = R @ _givens(math.asin(math.sqrt(s2)), 0, 2)
+    block = R[:, 1:].T @ M @ R[:, 1:]
+    (theta,), _ = _equalizing_angles_2d(block)
+    return R @ _givens(theta, 1, 2)
 
 
 def _frame_starts(M, budget):
-    """Deterministic initial frames for the bulk search."""
+    """Deterministic initial frames for the bulk search.
+
+    The identity, then for a square M the eigenvectors of sym(M), the right
+    singular vectors of M and the frames equalizing the diagonal of
+    R^T M R (two closed forms in 2-D, one in 3-D), which one
+    eigendecomposition of sym(M) serves; then lattice frames up to
+    budget.restarts.
+    """
     dim = M.shape[1]
     n_angles = ANGLE_COUNT[dim]
     starts = [tuple(0.0 for _ in range(n_angles))]
     if M.shape[0] == dim:
-        sym = 0.5 * (M + M.T)
-        starts.append(frame_angles_from_matrix(
-            _special_orthogonal(np.linalg.eigh(sym)[1])).angles)
+        w, V = np.linalg.eigh(0.5 * (M + M.T))
+        V = _special_orthogonal(V)
+        starts.append(frame_angles_from_matrix(V).angles)
         _, _, Vt = np.linalg.svd(M)
         starts.append(frame_angles_from_matrix(_special_orthogonal(Vt.T)).angles)
         if dim == 2:
             starts.extend(_equalizing_angles_2d(M))
         elif dim == 3:
-            starts.append(frame_angles_from_matrix(_equalizing_frame_3d(M)).angles)
+            starts.append(frame_angles_from_matrix(_equalizing_frame_3d(M, w, V)).angles)
     while len(starts) < budget.restarts:
         starts.append(_lattice_angles(n_angles, len(starts)))
     return starts
@@ -488,12 +506,12 @@ def estimate_relaxed_bulk(A, B, densities, budget=None):
                 "route": route}
     meta.update(effort)
 
-    dec = decompose_by_frame(M, frame)
+    R, MR = decompose_by_frame(M, frame)
     n_star = int(max(budget.n_schedule))
     competitor = {"family": "clamped-staircase",
                   "frame_angles": list(frame.angles),
-                  "amplitudes": [a.tolist() for a, _ in dec.terms],
-                  "normals": [nu.tolist() for _, nu in dec.terms],
+                  "amplitudes": MR.T.tolist(),
+                  "normals": R.T.tolist(),
                   "refinement": n_star}
     if laminate is not None:
         competitor["laminate"] = laminate
@@ -507,8 +525,8 @@ def estimate_relaxed_bulk(A, B, densities, budget=None):
             realized.append((int(n), float(e_n)))
         meta["realized"] = tuple(realized)
     return CellSolution(value=bulk_part + surface_part, kind="bulk", frame=frame,
-                        decomposition=dec, refinement_n=n_star,
-                        competitor=competitor, method=method, meta=meta)
+                        refinement_n=n_star, competitor=competitor,
+                        method=method, meta=meta)
 
 
 # ---------------------------------------------------------------------------

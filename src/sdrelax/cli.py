@@ -23,7 +23,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .cell import OptimizerBudget, estimate_relaxed_bulk, estimate_relaxed_surface
+from .cell import (OptimizerBudget, _is_integer, estimate_relaxed_bulk,
+                   estimate_relaxed_surface)
 from .core import identity_frame
 from .energy import (DENSITY_KINDS, DensitySet, bulk_density, check_bulk_growth,
                      check_interface_axioms, check_surface_axioms,
@@ -89,8 +90,7 @@ def _budget_from(params):
 
 def _int_param(params, name, default, minimum=1):
     value = params.get(name, default)
-    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-            or value < minimum):
+    if not _is_integer(value) or value < minimum:
         raise ConfigError(f"parameter {name!r} must be an integer >= {minimum}")
     return int(value)
 
@@ -125,7 +125,7 @@ def _cmd_sequence(params, seed, jobs):
     build, dim, default_psi = _EXAMPLES[name]
     ns = params.get("n", [1, 2, 4, 8, 16, 32])
     if not isinstance(ns, list) or not ns or any(
-            not isinstance(n, (int, np.integer)) or n < 1 for n in ns):
+            not _is_integer(n) or n < 1 for n in ns):
         raise ConfigError("parameter 'n' must be a nonempty list of positive integers")
     W = bulk_density(params.get("bulk_density", "zero"))
     psi = surface_density(params.get("surface_density", default_psi))
@@ -286,7 +286,9 @@ def _cmd_vpm(params, seed, jobs):
     samples = _int_param(params, "samples", 20, minimum=0)
     dim = _dim_param(params, 2)
     resolution = _int_param(params, "resolution", 4)
-    include_examples = bool(params.get("include_examples", True))
+    include_examples = params.get("include_examples", True)
+    if not isinstance(include_examples, bool):
+        raise ConfigError("parameter 'include_examples' must be true or false")
     cases = []
     if include_examples:
         cases.append(("broken-ramp", broken_ramp_deformation()))
@@ -429,7 +431,7 @@ def run(config, jobs=1, output=None, seed=None):
         raise ConfigError("'parameters' must be an object")
     params.update(nested)
     run_seed = seed if seed is not None else config.get("seed", 0)
-    if not isinstance(run_seed, (int, np.integer)) or run_seed < 0:
+    if not _is_integer(run_seed) or run_seed < 0:
         raise ConfigError("seed must be a nonnegative integer")
     title, docs, columns, rows = COMMANDS[command](params, int(run_seed), jobs)
     path = output if output is not None else config.get("output_path")

@@ -147,44 +147,16 @@ def frame_angles_from_matrix(R):
     return Frame((t1, t2, t3), 3)
 
 
-@dataclass(frozen=True)
-class RankOneDecomposition:
-    """Split of a (d, n) matrix as a sum of rank-one terms over a frame.
+def decompose_by_frame(M, frame):
+    """Rank-one split of M over the columns of a frame, as (R, M R).
 
-    amplitudes[i] is the vector paired with the i-th frame column, so the
-    matrix equals sum_i amplitudes[i] (x) directions[:, i].
-    """
-
-    amplitudes: np.ndarray  # (n, d)
-    directions: np.ndarray  # (n, n), columns orthonormal
-
-    def __post_init__(self):
-        amp = np.array(self.amplitudes, dtype=float)
-        dirs = np.array(self.directions, dtype=float)
-        gram = dirs.T @ dirs
-        if np.max(np.abs(gram - np.eye(dirs.shape[1]))) > ORTHONORMAL_TOL:
-            raise NonUnitNormalError("frame columns are not orthonormal within 1e-12")
-        amp.setflags(write=False)
-        dirs.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amp)
-        object.__setattr__(self, "directions", dirs)
-
-    @property
-    def terms(self):
-        return [(self.amplitudes[i], self.directions[:, i])
-                for i in range(self.directions.shape[1])]
-
-    def reconstruct(self):
-        return self.amplitudes.T @ self.directions.T
-
-
-def _checked_amplitudes(M, frame):
-    """The frame matrix R and M R, whose column i is M r_i, for a validated M.
-
-    Raises what decompose_by_frame promises: DimensionMismatchError for a
-    frame of the wrong dimension, NonUnitNormalError when the columns of R
-    are not orthonormal within ORTHONORMAL_TOL, ValueError when (M R) R^T
-    misses M by more than RECONSTRUCTION_TOL.
+    R is the frame matrix and column i of M R is the amplitude M r_i paired
+    with the direction r_i, so M = sum_i (M r_i) (x) r_i = (M R) R^T for any
+    orthonormal frame. M is validated as by as_matrix; raises
+    DimensionMismatchError for a frame of the wrong dimension,
+    NonUnitNormalError when the columns of R are not orthonormal within
+    ORTHONORMAL_TOL, and ValueError when (M R) R^T misses M by more than
+    RECONSTRUCTION_TOL.
     """
     M = as_matrix(M)
     if M.shape[1] != frame.dim:
@@ -199,16 +171,6 @@ def _checked_amplitudes(M, frame):
     return R, MR
 
 
-def decompose_by_frame(M, frame):
-    """Rank-one split of M over the columns of a frame.
-
-    The i-th amplitude is M applied to the i-th column, which makes the
-    reconstruction identity exact for any orthonormal frame.
-    """
-    R, MR = _checked_amplitudes(M, frame)
-    return RankOneDecomposition(MR.T, R)
-
-
 def frame_cost(M, frame, psi):
     """Total interfacial cost of transporting M along one frame.
 
@@ -218,13 +180,8 @@ def frame_cost(M, frame, psi):
     density is priced this way. Checks and errors are those of
     decompose_by_frame.
     """
-    R, MR = _checked_amplitudes(M, frame)
+    R, MR = decompose_by_frame(M, frame)
     return float(sum(psi(a, nu) for a, nu in zip(MR.T, R.T)))
-
-
-def trace_of_decomposition(dec):
-    """Sum of normal components of the amplitudes; equals tr M when square."""
-    return float(sum(a @ nu for a, nu in dec.terms))
 
 
 # ---------------------------------------------------------------------------

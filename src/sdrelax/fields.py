@@ -876,10 +876,10 @@ def staircase_sequence(A, B, frame, n, domain=None, clamp=True):
         margin = min(1.0 / n, float(np.min(domain.widths)) / 4.0)
         clamp_obj = Clamp(A, margin)
 
-    dec = decompose_by_frame(A - B, frame)
+    R, MR = decompose_by_frame(A - B, frame)
     families = []
     offset = np.zeros(A.shape[0])
-    for amp, nu in dec.terms:
+    for amp, nu in zip(MR.T, R.T):
         if float(np.linalg.norm(amp)) < 1e-14:
             continue
         m_lo, m_hi = geo.plane_range(domain, nu)

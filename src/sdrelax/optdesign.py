@@ -26,7 +26,7 @@ estimated with the same competitor philosophy as the plain cell problems:
   searches still run (route "search"), and there they can win.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations
 
@@ -194,12 +194,7 @@ def estimate_phase_relaxed_bulk(phase, A, B, ds, budget=None):
         raise ValueError(f"phase must be 0 or 1, got {phase!r}")
     W, psi1 = ds.phase(phase)
     sol = estimate_relaxed_bulk(A, B, DensitySet.simple(W, psi1), budget)
-    meta = dict(sol.meta)
-    meta["phase"] = int(phase)
-    return CellSolution(value=sol.value, kind=sol.kind, frame=sol.frame,
-                        decomposition=sol.decomposition, splits=sol.splits,
-                        refinement_n=sol.refinement_n, competitor=sol.competitor,
-                        method=sol.method, meta=meta)
+    return replace(sol, meta={**sol.meta, "phase": int(phase)})
 
 
 def _chi_patterns(a, b):

@@ -25,7 +25,7 @@ from sdrelax.cell import (
     realize_bulk_competitor,
     realize_surface_competitor,
 )
-from sdrelax.core import Frame, frame_cost
+from sdrelax.core import Frame, frame_cost, frame_matrix
 from sdrelax.energy import (DENSITY_KINDS, BulkDensity, DensitySet, SurfaceDensity,
                             bulk_density, check_surface_axioms, surface_density)
 from sdrelax.errors import ConfigError, NumericalFailureError
@@ -711,6 +711,52 @@ def test_trace_floor_matches_the_multistart_oracle(dim, monkeypatch):
             assert len(outcomes) == OptimizerBudget().restarts
             assert slow.meta["route"] == "search"
             assert (slow.value, slow.frame.angles) == _oracle_frame_search(M, plain)
+
+
+def _equalizer_cases():
+    rng = np.random.default_rng(90)
+    Q = cell._special_orthogonal(np.linalg.qr(rng.normal(size=(3, 3)))[0])
+    u, v = rng.normal(size=(2, 3))
+    K = rng.normal(size=(3, 3))
+    random = [rng.normal(size=(3, 3)) for _ in range(20)]
+    return [*random, 2.5 * np.eye(3), np.zeros((3, 3)),
+            Q @ np.diag([1.0, 1.0, -3.0]) @ Q.T,     # repeated eigenvalues
+            Q @ np.diag([-2.0, 0.5, 0.5]) @ Q.T + (K - K.T),
+            np.outer(u, v),                          # rank one
+            K - K.T,                                 # antisymmetric
+            *(scale * M for M in random[:5] for scale in (1e-8, 1e8))]
+
+
+def test_equalizing_frame_makes_the_diagonal_constant():
+    for M in _equalizer_cases():
+        w, V = np.linalg.eigh(0.5 * (M + M.T))
+        R = cell._equalizing_frame_3d(M, w, cell._special_orthogonal(V))
+        tol = 1e-14 * max(1.0, np.abs(M).max())
+        assert np.abs(np.diag(R.T @ M @ R) - np.trace(M) / 3.0).max() <= tol
+        assert np.abs(R.T @ R - np.eye(3)).max() <= 1e-14
+        assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-14)
+        # The start list carries that frame as angles.
+        start = cell._frame_starts(M, OptimizerBudget())[3]
+        np.testing.assert_allclose(frame_matrix(Frame(start, 3)), R, atol=1e-12)
+
+
+def test_traceless_disarrangements_reach_the_floor_without_a_search(monkeypatch):
+    # An isochoric slip, tr(A - B) = 0, relaxes to 0 under all three
+    # normal-jump energies; the equalizing start attains it.
+    outcomes = _count_minimize_calls(monkeypatch)
+    rng = np.random.default_rng(91)
+    for psi in _normal_jump_densities():
+        ds = DensitySet.simple(bulk_density("zero"), psi)
+        for scale in (1e-3, 1.0, 10.0):
+            for _ in range(10):
+                A = scale * rng.normal(size=(3, 3))
+                M = scale * rng.normal(size=(3, 3))
+                M -= np.trace(M) / 3.0 * np.eye(3)
+                sol = estimate_relaxed_bulk(A, A - M, ds)
+                assert sol.meta["route"] == "trace-floor", psi.name
+                assert sol.meta["searches"] == 0
+                assert 0.0 <= sol.value <= 1e-12 * max(1.0, np.abs(M).max())
+    assert outcomes == []
 
 
 def test_search_runs_when_no_start_reaches_the_floor(monkeypatch):

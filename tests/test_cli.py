@@ -323,6 +323,25 @@ def test_booleans_are_not_integers(tmp_path, capsys, command, name):
     assert not os.path.exists(config["output_path"])
 
 
+@pytest.mark.parametrize("config, name", [
+    ({"command": "h-cell", "dim": 2, "samples": 1, "seed": True}, "seed"),
+    ({"command": "sequence", "n": [True, 2]}, "'n'"),
+    ({"command": "sequence", "n": [1, 2.0]}, "'n'"),
+    ({"command": "vpm", "samples": 0, "include_examples": "no"}, "include_examples"),
+    ({"command": "vpm", "samples": 0, "include_examples": 0}, "include_examples"),
+])
+def test_json_values_of_the_wrong_type_are_config_errors(tmp_path, capsys, config,
+                                                         name):
+    # JSON true is no seed or refinement, and "no" is no boolean.
+    config = {**config, "output_path": os.path.join(tmp_path, "out.csv")}
+    with pytest.raises(ConfigError, match=name):
+        run(config)
+    cfg = _write_config(tmp_path, "bad.json", config)
+    assert main(["--config", cfg]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert not os.path.exists(config["output_path"])
+
+
 def test_integral_numbers_run(tmp_path):
     out = os.path.join(tmp_path, "verify.csv")
     run({"command": "verify-expl", "dim": 2,

@@ -19,7 +19,6 @@ from sdrelax import (
     relaxed_surface_minus,
     relaxed_surface_plus,
     surface_density,
-    trace_of_decomposition,
 )
 from sdrelax.energy import DENSITY_KINDS
 from sdrelax.errors import DimensionMismatchError, NonUnitNormalError
@@ -107,23 +106,26 @@ def test_decompose_reconstructs_and_conserves_trace():
     for dim in (1, 2, 3):
         for _ in range(40):
             M = rng.normal(size=(dim, dim))
-            dec = decompose_by_frame(M, _random_frame(rng, dim))
-            recon = sum(np.outer(a, nu) for a, nu in dec.terms)
+            frame = _random_frame(rng, dim)
+            R, MR = decompose_by_frame(M, frame)
+            assert np.array_equal(R, frame_matrix(frame))
+            assert np.array_equal(MR, M @ R)
+            recon = sum(np.outer(a, nu) for a, nu in zip(MR.T, R.T))
             assert np.allclose(recon, M, atol=1e-10)
-            assert trace_of_decomposition(dec) == pytest.approx(np.trace(M),
-                                                                abs=1e-10)
+            trace = sum(float(a @ nu) for a, nu in zip(MR.T, R.T))
+            assert trace == pytest.approx(np.trace(M), abs=1e-10)
 
 
 def test_decompose_zero_matrix_gives_zero_amplitudes():
-    dec = decompose_by_frame(np.zeros((3, 3)), identity_frame(3))
-    for a, _ in dec.terms:
+    _, MR = decompose_by_frame(np.zeros((3, 3)), identity_frame(3))
+    for a in MR.T:
         assert np.array_equal(a, np.zeros(3))
 
 
 def test_decompose_sliding_deck_in_identity_frame():
     M = np.outer([1.0, 0.0, 0.0], [0.0, 0.0, 1.0])
-    dec = decompose_by_frame(M, identity_frame(3))
-    amps = [a for a, _ in dec.terms]
+    _, MR = decompose_by_frame(M, identity_frame(3))
+    amps = list(MR.T)
     assert np.array_equal(amps[0], np.zeros(3))
     assert np.array_equal(amps[1], np.zeros(3))
     assert np.array_equal(amps[2], np.array([1.0, 0.0, 0.0]))
@@ -133,8 +135,8 @@ def test_decompose_traceless_diagonal_at_equalizing_angle():
     # Oracle: the normal component nu^T M nu equals cos(2 theta) for
     # M = diag(1, -1), so theta = pi/4 zeroes both terms.
     M = np.diag([1.0, -1.0])
-    dec = decompose_by_frame(M, Frame((np.pi / 4,), 2))
-    for a, nu in dec.terms:
+    R, MR = decompose_by_frame(M, Frame((np.pi / 4,), 2))
+    for a, nu in zip(MR.T, R.T):
         assert float(a @ nu) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -167,7 +169,8 @@ def test_frame_cost_matches_the_decomposition_route():
                 for _ in range(10):
                     M = rng.normal(size=(rows, dim))
                     frame = _random_frame(rng, dim)
-                    terms = decompose_by_frame(M, frame).terms
+                    R, MR = decompose_by_frame(M, frame)
+                    terms = zip(MR.T, R.T)
                     try:
                         expected = sum(psi(a, nu) for a, nu in terms)
                     except ValueError:
